@@ -305,7 +305,7 @@ fn context_with(frame: usize, alloc: AllocOptions) -> PaperContext {
 /// # Errors
 ///
 /// Propagates pipeline errors (none occur with the default context).
-pub fn table1(ctx: &PaperContext) -> Result<Exploration<'_>, ExploreError> {
+pub fn table1(ctx: &PaperContext) -> Result<Exploration, ExploreError> {
     let options = ctx.options();
     let compacted = compact(&ctx.btpc.spec, ctx.btpc.ridge, 3)?;
     let merged = merge(&ctx.btpc.spec, ctx.btpc.pyr, ctx.btpc.ridge)?;
@@ -347,7 +347,7 @@ pub fn figure3_layers() -> (HierarchyLayer, HierarchyLayer, HierarchyLayer) {
 /// # Errors
 ///
 /// Propagates pipeline errors.
-pub fn table2(ctx: &PaperContext) -> Result<Exploration<'_>, ExploreError> {
+pub fn table2(ctx: &PaperContext) -> Result<Exploration, ExploreError> {
     let (spec, pixel_store) = merged_spec(ctx)?;
     let (ylocal, yhier_serving, yhier_feeding) = figure3_layers();
     let options = ctx.options();

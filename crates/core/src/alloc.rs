@@ -194,7 +194,7 @@
 //!
 //! When the effective worker count is 1 every level runs inline on the
 //! calling thread — no worker threads are spawned at all (see
-//! [`crate::engine::thread_spawns_on_current_thread`]).
+//! `crate::engine::thread_spawns_on_current_thread`).
 
 use std::collections::BTreeMap;
 
@@ -294,8 +294,8 @@ impl Default for AllocOptions {
     }
 }
 
-/// Search-effort counters of one [`assign_with_stats`] run, so pruning
-/// gains (e.g. of [`BoundKind::Pairwise`]) are measurable.
+/// Search-effort counters of one [`assign_with_stats_cached`] run, so
+/// pruning gains (e.g. of [`BoundKind::Pairwise`]) are measurable.
 ///
 /// The counters are *not* part of the deterministic result: in parallel
 /// runs the atomic incumbent may skip different subtrees depending on
@@ -522,7 +522,7 @@ impl PortOracle {
     }
 
     /// Feeds the deduplicated conflict-slot table into an instance
-    /// fingerprint (see [`alloc_instance_fingerprint`]). Per-group port
+    /// fingerprint (see [`alloc_key`]). Per-group port
     /// minimums are hashed with the groups themselves — only accessed
     /// groups ever enter a mask.
     fn hash_slots(&self, h: &mut StableHasher) {
@@ -550,22 +550,25 @@ fn hash_group(h: &mut StableHasher, spec: &AppSpec, traffic: &[Traffic], g: Basi
     h.write_f64(traffic[g.index()].burst);
 }
 
-/// Stable fingerprint of one allocation instance: every solver input
-/// besides the technology model and the options — the accessed groups,
-/// the schedule's port-conflict slot table and the real-time window.
-/// Two specs (or the same spec at two cycle budgets) that induce the
-/// same instance deliberately share one cache entry.
-fn alloc_instance_fingerprint(
+/// The allocation cache key of one instance — the single derivation
+/// behind both [`assign_with_stats_cached`] and [`alloc_cache_key`]. Its
+/// content hash fingerprints every solver input besides the technology
+/// model and the options: the accessed groups, the schedule's
+/// port-conflict slot table and the real-time window. Two specs (or the
+/// same spec at two cycle budgets) that induce the same instance
+/// deliberately share one cache entry.
+fn alloc_key(
     spec: &AppSpec,
     traffic: &[Traffic],
     oracle: &PortOracle,
     off_groups: &[BasicGroupId],
     on_groups: &[BasicGroupId],
-    time_s: f64,
-) -> u64 {
+    lib: &MemLibrary,
+    options: &AllocOptions,
+) -> cache::CacheKey {
     let mut h = StableHasher::new();
     h.write_str("alloc-instance");
-    h.write_f64(time_s);
+    h.write_f64(spec.real_time_seconds());
     for (tag, groups) in [("off", off_groups), ("on", on_groups)] {
         h.write_str(tag);
         h.write_u64(groups.len() as u64);
@@ -574,11 +577,11 @@ fn alloc_instance_fingerprint(
         }
     }
     oracle.hash_slots(&mut h);
-    h.finish()
+    cache::CacheKey::alloc(h.finish(), lib, options)
 }
 
 /// Stable fingerprint of one off-chip pricing instance — like
-/// [`alloc_instance_fingerprint`] restricted to the off-chip groups, so
+/// [`alloc_key`]'s instance hash restricted to the off-chip groups, so
 /// the priced block catalog survives option changes (different node
 /// limits, bounds, weights) that re-key the allocation entry itself.
 fn off_chip_blocks_fingerprint(
@@ -599,10 +602,20 @@ fn off_chip_blocks_fingerprint(
     h.finish()
 }
 
-/// Allocates memories and assigns every accessed basic group.
+/// Allocates memories and assigns every accessed basic group, reporting
+/// the search-effort counters of the run (see [`AllocStats`]).
 ///
 /// Groups without any access are treated as foreground (scalar-level)
 /// data and skipped, as the paper's pruning step prescribes.
+///
+/// With a persistent cache, a valid allocation entry short-circuits the
+/// whole branch-and-bound, replaying the stored [`Organization`] *and*
+/// [`AllocStats`] bit-identically (so node-count telemetry reports what
+/// the stored solve actually cost, not a free lunch). On a miss the
+/// solver runs as usual — pre-seeding its off-chip block pricer from a
+/// cached catalog when one exists — and the solution is stored for the
+/// next process. Errors are never cached. Pass `None` for a plain
+/// solve.
 ///
 /// # Errors
 ///
@@ -612,43 +625,8 @@ fn off_chip_blocks_fingerprint(
 /// negative scalarization weights,
 /// [`ExploreError::TooManyOffChipGroups`] when the off-chip partition
 /// enumeration would be intractable, and [`ExploreError::Part`] if no
-/// off-chip part covers a group.
-pub fn assign(
-    spec: &AppSpec,
-    scbd: &ScbdResult,
-    lib: &MemLibrary,
-    options: &AllocOptions,
-) -> Result<Organization, ExploreError> {
-    assign_with_stats(spec, scbd, lib, options).map(|(org, _)| org)
-}
-
-/// [`assign`], additionally reporting the search-effort counters of the
-/// run (see [`AllocStats`]).
-///
-/// # Errors
-///
-/// As for [`assign`].
-pub fn assign_with_stats(
-    spec: &AppSpec,
-    scbd: &ScbdResult,
-    lib: &MemLibrary,
-    options: &AllocOptions,
-) -> Result<(Organization, AllocStats), ExploreError> {
-    assign_with_stats_cached(spec, scbd, lib, options, None)
-}
-
-/// [`assign_with_stats`] with an optional persistent cache: a valid
-/// allocation entry short-circuits the whole branch-and-bound, replaying
-/// the stored [`Organization`] *and* [`AllocStats`] bit-identically (so
-/// node-count telemetry reports what the stored solve actually cost,
-/// not a free lunch). On a miss the solver runs as usual — pre-seeding
-/// its off-chip block pricer from a cached catalog when one exists —
-/// and the solution is stored for the next process. Errors are never
-/// cached.
-///
-/// # Errors
-///
-/// As for [`assign`]; the cache itself never fails an assignment.
+/// off-chip part covers a group. The cache itself never fails an
+/// assignment.
 pub fn assign_with_stats_cached(
     spec: &AppSpec,
     scbd: &ScbdResult,
@@ -665,9 +643,15 @@ pub fn assign_with_stats_cached(
     let (off_groups, on_groups) = split_accessed_groups(spec, &traffic)?;
 
     let alloc_key = cache.map(|_| {
-        let instance =
-            alloc_instance_fingerprint(spec, &traffic, &oracle, &off_groups, &on_groups, time_s);
-        cache::CacheKey::alloc(instance, lib, options)
+        alloc_key(
+            spec,
+            &traffic,
+            &oracle,
+            &off_groups,
+            &on_groups,
+            lib,
+            options,
+        )
     });
     if let (Some(cache), Some(key)) = (cache, alloc_key.as_ref()) {
         if let Some((org, stats)) = cache.load_alloc(key) {
@@ -759,7 +743,7 @@ pub fn assign_with_stats_cached(
 /// # Errors
 ///
 /// The key requires the accessed-group split, so an infeasible group
-/// layout errors exactly as [`assign`] would.
+/// layout errors exactly as [`assign_with_stats_cached`] would.
 #[doc(hidden)]
 pub fn alloc_cache_key(
     spec: &AppSpec,
@@ -768,12 +752,17 @@ pub fn alloc_cache_key(
     options: &AllocOptions,
 ) -> Result<cache::CacheKey, ExploreError> {
     let traffic = group_traffic(spec);
-    let time_s = spec.real_time_seconds();
     let oracle = PortOracle::new(spec, scbd);
     let (off_groups, on_groups) = split_accessed_groups(spec, &traffic)?;
-    let instance =
-        alloc_instance_fingerprint(spec, &traffic, &oracle, &off_groups, &on_groups, time_s);
-    Ok(cache::CacheKey::alloc(instance, lib, options))
+    Ok(alloc_key(
+        spec,
+        &traffic,
+        &oracle,
+        &off_groups,
+        &on_groups,
+        lib,
+        options,
+    ))
 }
 
 /// Splits the accessed basic groups into off-chip and on-chip candidate
@@ -1593,8 +1582,8 @@ fn assign_off_chip(
 ///
 /// # Errors
 ///
-/// As for [`assign`] (minus the node-budget exhaustion signal, which the
-/// exhaustive scan does not have).
+/// As for [`assign_with_stats_cached`] (minus the node-budget
+/// exhaustion signal, which the exhaustive scan does not have).
 ///
 /// # Panics
 ///
@@ -2519,7 +2508,7 @@ fn assign_on_chip(
 ///
 /// Returns [`ExploreError::BadCostWeights`] for invalid weights and
 /// [`ExploreError::NoFeasibleAssignment`] for group sets beyond the
-/// mask limits, mirroring [`assign`].
+/// mask limits, mirroring [`assign_with_stats_cached`].
 #[doc(hidden)]
 pub fn root_lower_bounds(
     spec: &AppSpec,
@@ -2621,7 +2610,9 @@ mod tests {
     fn assignment_produces_positive_costs() {
         let spec = mixed_spec(2_000_000);
         let s = scbd::distribute(&spec).unwrap();
-        let org = assign(&spec, &s, &lib(), &AllocOptions::default()).unwrap();
+        let org = assign_with_stats_cached(&spec, &s, &lib(), &AllocOptions::default(), None)
+            .unwrap()
+            .0;
         assert!(org.cost.on_chip_area_mm2 > 0.0);
         assert!(org.cost.on_chip_power_mw > 0.0);
         assert!(org.cost.off_chip_power_mw > 0.0);
@@ -2638,7 +2629,9 @@ mod tests {
                 on_chip_memories: Some(k),
                 ..AllocOptions::default()
             };
-            let org = assign(&spec, &s, &lib(), &options).unwrap();
+            let org = assign_with_stats_cached(&spec, &s, &lib(), &options, None)
+                .unwrap()
+                .0;
             assert_eq!(org.on_chip_count(), k as usize, "k={k}");
         }
     }
@@ -2653,8 +2646,9 @@ mod tests {
                 on_chip_memories: Some(k),
                 ..AllocOptions::default()
             };
-            assign(&spec, &s, &lib(), &options)
+            assign_with_stats_cached(&spec, &s, &lib(), &options, None)
                 .unwrap()
+                .0
                 .cost
                 .on_chip_power_mw
         };
@@ -2669,7 +2663,9 @@ mod tests {
             on_chip_memories: Some(1),
             ..AllocOptions::default()
         };
-        let org = assign(&spec, &s, &lib(), &options).unwrap();
+        let org = assign_with_stats_cached(&spec, &s, &lib(), &options, None)
+            .unwrap()
+            .0;
         let on_chip = org
             .memories
             .iter()
@@ -2701,7 +2697,9 @@ mod tests {
             on_chip_memories: Some(1),
             ..AllocOptions::default()
         };
-        let org = assign(&spec, &s, &lib(), &options).unwrap();
+        let org = assign_with_stats_cached(&spec, &s, &lib(), &options, None)
+            .unwrap()
+            .0;
         let on_chip = org
             .memories
             .iter()
@@ -2713,7 +2711,9 @@ mod tests {
             on_chip_memories: Some(2),
             ..AllocOptions::default()
         };
-        let org2 = assign(&spec, &s, &lib(), &options2).unwrap();
+        let org2 = assign_with_stats_cached(&spec, &s, &lib(), &options2, None)
+            .unwrap()
+            .0;
         let max_ports = org2
             .memories
             .iter()
@@ -2728,14 +2728,18 @@ mod tests {
     fn sweep_finds_a_no_worse_organization_than_any_fixed_k() {
         let spec = mixed_spec(2_000_000);
         let s = scbd::distribute(&spec).unwrap();
-        let sweep = assign(&spec, &s, &lib(), &AllocOptions::default()).unwrap();
+        let sweep = assign_with_stats_cached(&spec, &s, &lib(), &AllocOptions::default(), None)
+            .unwrap()
+            .0;
         let sweep_scalar = sweep.cost.scalar(1.0, 1.0);
         for k in 1..=3 {
             let options = AllocOptions {
                 on_chip_memories: Some(k),
                 ..AllocOptions::default()
             };
-            let fixed = assign(&spec, &s, &lib(), &options).unwrap();
+            let fixed = assign_with_stats_cached(&spec, &s, &lib(), &options, None)
+                .unwrap()
+                .0;
             assert!(sweep_scalar <= fixed.cost.scalar(1.0, 1.0) + 1e-9, "k={k}");
         }
     }
@@ -2751,7 +2755,9 @@ mod tests {
         b.cycle_budget(100_000).real_time_seconds(0.01);
         let spec = b.build().unwrap();
         let s = scbd::distribute(&spec).unwrap();
-        let org = assign(&spec, &s, &lib(), &AllocOptions::default()).unwrap();
+        let org = assign_with_stats_cached(&spec, &s, &lib(), &AllocOptions::default(), None)
+            .unwrap()
+            .0;
         assert_eq!(org.memories[0].ports, 2);
     }
 
@@ -2778,7 +2784,8 @@ mod tests {
     fn off_chip_search_reports_partition_and_node_counters() {
         let spec = off_heavy_spec();
         let s = scbd::distribute(&spec).unwrap();
-        let (_, stats) = assign_with_stats(&spec, &s, &lib(), &AllocOptions::default()).unwrap();
+        let (_, stats) =
+            assign_with_stats_cached(&spec, &s, &lib(), &AllocOptions::default(), None).unwrap();
         // 4 off-chip groups -> at most Bell(4) = 15 partitions reached
         // (fewer when bandwidth or the bound prunes some), at least 1.
         assert!(stats.off_chip_partitions >= 1);
@@ -2800,7 +2807,7 @@ mod tests {
             let (reference, ref_partitions) =
                 off_chip_exhaustive_reference(&spec, &s, &lib()).unwrap();
             for workers in [1usize, 2, 8] {
-                let (org, stats) = assign_with_stats(
+                let (org, stats) = assign_with_stats_cached(
                     &spec,
                     &s,
                     &lib(),
@@ -2808,6 +2815,7 @@ mod tests {
                         workers,
                         ..AllocOptions::default()
                     },
+                    None,
                 )
                 .unwrap();
                 let off: Vec<&MemoryInstance> = org
@@ -2837,7 +2845,9 @@ mod tests {
         b.cycle_budget(1000);
         let spec = b.build().unwrap();
         let s = scbd::distribute(&spec).unwrap();
-        let org = assign(&spec, &s, &lib(), &AllocOptions::default()).unwrap();
+        let org = assign_with_stats_cached(&spec, &s, &lib(), &AllocOptions::default(), None)
+            .unwrap()
+            .0;
         let assigned: usize = org.memories.iter().map(|m| m.groups.len()).sum();
         assert_eq!(assigned, 1);
     }
@@ -2847,7 +2857,7 @@ mod tests {
         let spec = mixed_spec(2_000_000);
         let s = scbd::distribute(&spec).unwrap();
         for on_chip_memories in [None, Some(1), Some(2), Some(3)] {
-            let serial = assign(
+            let serial = assign_with_stats_cached(
                 &spec,
                 &s,
                 &lib(),
@@ -2856,10 +2866,12 @@ mod tests {
                     workers: 1,
                     ..AllocOptions::default()
                 },
+                None,
             )
-            .unwrap();
+            .unwrap()
+            .0;
             for workers in [2, 4, 7] {
-                let parallel = assign(
+                let parallel = assign_with_stats_cached(
                     &spec,
                     &s,
                     &lib(),
@@ -2868,8 +2880,10 @@ mod tests {
                         workers,
                         ..AllocOptions::default()
                     },
+                    None,
                 )
-                .unwrap();
+                .unwrap()
+                .0;
                 assert_eq!(serial, parallel, "k={on_chip_memories:?} workers={workers}");
             }
         }
@@ -2882,7 +2896,7 @@ mod tests {
         let spec = off_heavy_spec();
         let s = scbd::distribute(&spec).unwrap();
         for bound in [BoundKind::Solo, BoundKind::Pairwise] {
-            let serial = assign(
+            let serial = assign_with_stats_cached(
                 &spec,
                 &s,
                 &lib(),
@@ -2891,11 +2905,13 @@ mod tests {
                     bound,
                     ..AllocOptions::default()
                 },
+                None,
             )
-            .unwrap();
+            .unwrap()
+            .0;
             assert!(serial.off_chip_count() >= 1);
             for workers in [2, 8] {
-                let parallel = assign(
+                let parallel = assign_with_stats_cached(
                     &spec,
                     &s,
                     &lib(),
@@ -2904,8 +2920,10 @@ mod tests {
                         bound,
                         ..AllocOptions::default()
                     },
+                    None,
                 )
-                .unwrap();
+                .unwrap()
+                .0;
                 assert_eq!(serial, parallel, "bound={bound:?} workers={workers}");
             }
         }
@@ -2919,7 +2937,7 @@ mod tests {
         // the search must still return the greedy incumbent (never an
         // error) and do so identically across runs and worker counts.
         let run = |workers: usize| {
-            assign(
+            assign_with_stats_cached(
                 &spec,
                 &s,
                 &lib(),
@@ -2928,8 +2946,10 @@ mod tests {
                     workers,
                     ..AllocOptions::default()
                 },
+                None,
             )
             .expect("incumbent, not an error")
+            .0
         };
         let serial_a = run(1);
         let serial_b = run(1);
@@ -2948,7 +2968,7 @@ mod tests {
         let spec = off_heavy_spec();
         let s = scbd::distribute(&spec).unwrap();
         let run = |workers: usize| {
-            assign(
+            assign_with_stats_cached(
                 &spec,
                 &s,
                 &lib(),
@@ -2957,8 +2977,10 @@ mod tests {
                     workers,
                     ..AllocOptions::default()
                 },
+                None,
             )
             .expect("incumbent, not an error")
+            .0
         };
         let serial = run(1);
         for workers in [2, 8] {
@@ -2973,7 +2995,7 @@ mod tests {
         let spec = mixed_spec(2_000_000);
         let s = scbd::distribute(&spec).unwrap();
         for on_chip_memories in [None, Some(1), Some(2), Some(3)] {
-            let solo = assign(
+            let solo = assign_with_stats_cached(
                 &spec,
                 &s,
                 &lib(),
@@ -2982,9 +3004,11 @@ mod tests {
                     bound: BoundKind::Solo,
                     ..AllocOptions::default()
                 },
+                None,
             )
-            .unwrap();
-            let pairwise = assign(
+            .unwrap()
+            .0;
+            let pairwise = assign_with_stats_cached(
                 &spec,
                 &s,
                 &lib(),
@@ -2993,8 +3017,10 @@ mod tests {
                     bound: BoundKind::Pairwise,
                     ..AllocOptions::default()
                 },
+                None,
             )
-            .unwrap();
+            .unwrap()
+            .0;
             assert_eq!(solo, pairwise, "k={on_chip_memories:?}");
         }
     }
@@ -3029,7 +3055,7 @@ mod tests {
         let spec = many_group_spec();
         let s = scbd::distribute(&spec).unwrap();
         let nodes = |bound| {
-            let (_, stats) = assign_with_stats(
+            let (_, stats) = assign_with_stats_cached(
                 &spec,
                 &s,
                 &lib(),
@@ -3038,6 +3064,7 @@ mod tests {
                     bound,
                     ..AllocOptions::default()
                 },
+                None,
             )
             .unwrap();
             stats.bb_nodes
@@ -3060,7 +3087,7 @@ mod tests {
             assert!(solo <= pairwise + 1e-12, "k={k}");
             // Admissibility against the exact fixed-k optimum (the
             // sweep's on-chip memories only).
-            let org = assign(
+            let org = assign_with_stats_cached(
                 &spec,
                 &s,
                 &lib(),
@@ -3068,8 +3095,10 @@ mod tests {
                     on_chip_memories: Some(k),
                     ..AllocOptions::default()
                 },
+                None,
             )
-            .unwrap();
+            .unwrap()
+            .0;
             let on_chip: CostBreakdown = org
                 .memories
                 .iter()
@@ -3101,7 +3130,8 @@ mod tests {
         b.cycle_budget(10_000);
         let spec = b.build().unwrap();
         let s = scbd::distribute(&spec).unwrap();
-        let err = assign(&spec, &s, &lib(), &AllocOptions::default()).unwrap_err();
+        let err = assign_with_stats_cached(&spec, &s, &lib(), &AllocOptions::default(), None)
+            .unwrap_err();
         assert!(matches!(err, ExploreError::NoFeasibleAssignment { .. }));
         assert!(err.to_string().contains("mask limit"), "{err}");
     }
@@ -3117,7 +3147,7 @@ mod tests {
             (-1.0, 1.0),
             (1.0, -0.5),
         ] {
-            let err = assign(
+            let err = assign_with_stats_cached(
                 &spec,
                 &s,
                 &lib(),
@@ -3126,6 +3156,7 @@ mod tests {
                     power_weight: pw,
                     ..AllocOptions::default()
                 },
+                None,
             )
             .unwrap_err();
             assert!(
@@ -3143,7 +3174,7 @@ mod tests {
         let spec = off_heavy_spec();
         let s = scbd::distribute(&spec).unwrap();
         let before = crate::engine::thread_spawns_on_current_thread();
-        let org = assign(
+        let org = assign_with_stats_cached(
             &spec,
             &s,
             &lib(),
@@ -3151,8 +3182,10 @@ mod tests {
                 workers: 1,
                 ..AllocOptions::default()
             },
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert!(org.on_chip_count() >= 1);
         assert_eq!(
             crate::engine::thread_spawns_on_current_thread(),
@@ -3166,7 +3199,7 @@ mod tests {
         let spec = plateau_off_chip_spec(10);
         let s = scbd::distribute(&spec).unwrap();
         let before = crate::engine::thread_spawns_on_current_thread();
-        assign(
+        assign_with_stats_cached(
             &spec,
             &s,
             &lib(),
@@ -3174,6 +3207,7 @@ mod tests {
                 workers: 4,
                 ..AllocOptions::default()
             },
+            None,
         )
         .unwrap();
         assert!(crate::engine::thread_spawns_on_current_thread() > before);
@@ -3205,7 +3239,8 @@ mod tests {
         // branch-and-bound proves its optimum within the default budget.
         let spec = many_off_chip_spec(13);
         let s = scbd::distribute(&spec).unwrap();
-        let (org, stats) = assign_with_stats(&spec, &s, &lib(), &AllocOptions::default()).unwrap();
+        let (org, stats) =
+            assign_with_stats_cached(&spec, &s, &lib(), &AllocOptions::default(), None).unwrap();
         assert!(org.off_chip_count() >= 1);
         assert_eq!(
             org.memories.iter().map(|m| m.groups.len()).sum::<usize>(),
@@ -3257,7 +3292,7 @@ mod tests {
         let spec = fourteen_conflicting_frames_spec();
         let s = scbd::distribute(&spec).unwrap();
         let run = |workers: usize| {
-            assign_with_stats(
+            assign_with_stats_cached(
                 &spec,
                 &s,
                 &lib(),
@@ -3265,6 +3300,7 @@ mod tests {
                     workers,
                     ..AllocOptions::default()
                 },
+                None,
             )
             .expect("proven optimum, not exhaustion")
         };
@@ -3322,7 +3358,7 @@ mod tests {
         let spec = plateau_off_chip_spec(16);
         let s = scbd::distribute(&spec).unwrap();
         let run = |workers: usize| {
-            assign(
+            assign_with_stats_cached(
                 &spec,
                 &s,
                 &lib(),
@@ -3331,7 +3367,9 @@ mod tests {
                     workers,
                     ..AllocOptions::default()
                 },
+                None,
             )
+            .map(|(org, _)| org)
         };
         let serial = run(1);
         assert!(
@@ -3363,7 +3401,7 @@ mod tests {
         let s = scbd::distribute(&spec).unwrap();
         let (reference, ref_partitions) = off_chip_exhaustive_reference(&spec, &s, &lib()).unwrap();
         for workers in [1usize, 2, 8] {
-            let (org, stats) = assign_with_stats(
+            let (org, stats) = assign_with_stats_cached(
                 &spec,
                 &s,
                 &lib(),
@@ -3371,6 +3409,7 @@ mod tests {
                     workers,
                     ..AllocOptions::default()
                 },
+                None,
             )
             .unwrap();
             let off: Vec<&MemoryInstance> = org
@@ -3408,7 +3447,7 @@ mod tests {
         let spec = plateau_off_chip_spec(16);
         let s = scbd::distribute(&spec).unwrap();
         let run = |workers: usize| {
-            assign_with_stats(
+            assign_with_stats_cached(
                 &spec,
                 &s,
                 &lib(),
@@ -3416,6 +3455,7 @@ mod tests {
                     workers,
                     ..AllocOptions::default()
                 },
+                None,
             )
             .expect("dominance must collapse the plateau within the default budget")
         };
@@ -3440,7 +3480,7 @@ mod tests {
         // Disabling the rule restores the plateau: the same instance
         // exhausts even a budget comfortably above the dominance run's
         // entire node count.
-        let err = assign(
+        let err = assign_with_stats_cached(
             &spec,
             &s,
             &lib(),
@@ -3449,6 +3489,7 @@ mod tests {
                 node_limit: 200_000,
                 ..AllocOptions::default()
             },
+            None,
         )
         .unwrap_err();
         assert!(
@@ -3477,7 +3518,7 @@ mod tests {
             let s = scbd::distribute(spec).unwrap();
             for node_limit in [1u64, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 600] {
                 let run = |workers: usize| {
-                    assign(
+                    assign_with_stats_cached(
                         spec,
                         &s,
                         &lib(),
@@ -3486,7 +3527,9 @@ mod tests {
                             workers,
                             ..AllocOptions::default()
                         },
+                        None,
                     )
+                    .map(|(org, _)| org)
                 };
                 let serial = run(1);
                 match &serial {
@@ -3520,7 +3563,8 @@ mod tests {
             b.cycle_budget(100_000).real_time_seconds(time_s);
             let spec = b.build().unwrap();
             let s = scbd::distribute(&spec).unwrap();
-            let err = assign(&spec, &s, &lib(), &AllocOptions::default()).unwrap_err();
+            let err = assign_with_stats_cached(&spec, &s, &lib(), &AllocOptions::default(), None)
+                .unwrap_err();
             assert_eq!(err, ExploreError::BadOffChipPricing { time_s });
             assert!(err.to_string().contains("real-time window"), "{err}");
         }
@@ -3628,7 +3672,7 @@ mod tests {
         // pairwise searches agree on the exact optimum.
         for on_chip_memories in [None, Some(2)] {
             let cheap = scaled_lib(0.25);
-            let solo = assign(
+            let solo = assign_with_stats_cached(
                 &spec,
                 &s,
                 &cheap,
@@ -3637,9 +3681,11 @@ mod tests {
                     bound: BoundKind::Solo,
                     ..AllocOptions::default()
                 },
+                None,
             )
-            .unwrap();
-            let pairwise = assign(
+            .unwrap()
+            .0;
+            let pairwise = assign_with_stats_cached(
                 &spec,
                 &s,
                 &cheap,
@@ -3648,8 +3694,10 @@ mod tests {
                     bound: BoundKind::Pairwise,
                     ..AllocOptions::default()
                 },
+                None,
             )
-            .unwrap();
+            .unwrap()
+            .0;
             assert_eq!(solo, pairwise, "k={on_chip_memories:?}");
         }
     }

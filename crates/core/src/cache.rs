@@ -12,7 +12,7 @@
 //! The store holds three kinds of entries, each in its own
 //! subdirectory with its own `kind` discriminant in the record header:
 //!
-//! * **SCBD schedules** ([`EvalCache::distribute`]) — the storage-cycle
+//! * **SCBD schedules** ([`distribute_cached`]) — the storage-cycle
 //!   budget distribution of one spec at one budget,
 //! * **allocation solutions** ([`EvalCache::load_alloc`]) — the full
 //!   [`crate::alloc::Organization`] *and* the [`crate::alloc::AllocStats`]
@@ -75,7 +75,7 @@
 //! # Example
 //!
 //! ```
-//! use memx_core::cache::EvalCache;
+//! use memx_core::cache::{distribute_cached, EvalCache};
 //! use memx_ir::{AccessKind, AppSpecBuilder};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -88,8 +88,8 @@
 //!
 //! let dir = std::env::temp_dir().join("memx-cache-doc");
 //! let cache = EvalCache::open(&dir)?;
-//! let cold = cache.distribute(&spec, 10_000)?; // computes, then stores
-//! let warm = cache.distribute(&spec, 10_000)?; // served from disk
+//! let cold = distribute_cached(&spec, 10_000, Some(&cache))?; // computes, then stores
+//! let warm = distribute_cached(&spec, 10_000, Some(&cache))?; // served from disk
 //! assert_eq!(cold.total_budget, warm.total_budget);
 //! assert!(cache.stats().scbd_hits >= 1);
 //! # std::fs::remove_dir_all(&dir).ok();
@@ -475,35 +475,10 @@ impl EvalCache {
         }
     }
 
-    /// Distributes `spec`'s storage cycle budget like
-    /// [`scbd::distribute_with_budget`], serving the result from disk
-    /// when a valid entry exists and storing it otherwise. Hits are
-    /// bit-identical to recomputation.
-    ///
-    /// Errors ([`ExploreError::BudgetTooTight`]) are never cached: they
-    /// are cheap to rediscover and a budget that fails today may be
-    /// retried under a changed spec tomorrow.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`scbd::distribute_with_budget`]; the cache
-    /// itself never fails an evaluation.
-    pub fn distribute(&self, spec: &AppSpec, budget: u64) -> Result<ScbdResult, ExploreError> {
-        let key = CacheKey::scbd(spec, budget);
-        if let Some(result) = self.load_scbd(&key) {
-            self.scbd.hit();
-            return Ok(result);
-        }
-        let result = scbd::distribute_with_budget(spec, budget)?;
-        self.scbd.miss();
-        self.store_scbd(&key, &result);
-        Ok(result)
-    }
-
     /// Reads the schedule entry addressed by `key`, or `None` on
     /// absence *or any corruption* (truncation, bad
     /// magic/version/checksum, key-echo mismatch). Does not touch the
-    /// hit/miss counters — the policy layer ([`EvalCache::distribute`])
+    /// hit/miss counters — the policy layer ([`distribute_cached`])
     /// owns those.
     pub fn load_scbd(&self, key: &CacheKey) -> Option<ScbdResult> {
         let bytes = fs::read(self.scbd_path(key)).ok()?;
@@ -624,22 +599,38 @@ impl EvalCache {
     }
 }
 
-/// Distributes via `cache` when one is configured, directly otherwise —
-/// the single seam every cache-aware caller goes through (the engine's
-/// batch phase, [`crate::explore::evaluate_with_cache`], binaries).
+/// Distributes `spec`'s storage cycle budget like
+/// [`scbd::distribute_with_budget`] — the single seam every cache-aware
+/// caller goes through (the engine's batch phase,
+/// [`crate::explore::evaluate_with_cache`], binaries). With a cache,
+/// the result is served from disk when a valid entry exists and stored
+/// otherwise; hits are bit-identical to recomputation.
+///
+/// Errors ([`ExploreError::BudgetTooTight`]) are never cached: they
+/// are cheap to rediscover and a budget that fails today may be
+/// retried under a changed spec tomorrow.
 ///
 /// # Errors
 ///
-/// Exactly those of [`scbd::distribute_with_budget`].
+/// Exactly those of [`scbd::distribute_with_budget`]; the cache itself
+/// never fails an evaluation.
 pub fn distribute_cached(
     spec: &AppSpec,
     budget: u64,
     cache: Option<&EvalCache>,
 ) -> Result<ScbdResult, ExploreError> {
-    match cache {
-        Some(cache) => cache.distribute(spec, budget),
-        None => scbd::distribute_with_budget(spec, budget),
+    let Some(cache) = cache else {
+        return scbd::distribute_with_budget(spec, budget);
+    };
+    let key = CacheKey::scbd(spec, budget);
+    if let Some(result) = cache.load_scbd(&key) {
+        cache.scbd.hit();
+        return Ok(result);
     }
+    let result = scbd::distribute_with_budget(spec, budget)?;
+    cache.scbd.miss();
+    cache.store_scbd(&key, &result);
+    Ok(result)
 }
 
 // --- binary entry format -------------------------------------------------
@@ -1086,8 +1077,8 @@ mod tests {
         let cache = EvalCache::open(&dir).unwrap();
         let spec = spec();
         let direct = scbd::distribute_with_budget(&spec, 10_000).unwrap();
-        let cold = cache.distribute(&spec, 10_000).unwrap();
-        let warm = cache.distribute(&spec, 10_000).unwrap();
+        let cold = distribute_cached(&spec, 10_000, Some(&cache)).unwrap();
+        let warm = distribute_cached(&spec, 10_000, Some(&cache)).unwrap();
         assert_same(&direct, &cold);
         assert_same(&direct, &warm);
         let stats = cache.stats();
@@ -1096,7 +1087,10 @@ mod tests {
         // A second handle on the same directory hits immediately:
         // persistence across processes in miniature.
         let other = EvalCache::open(&dir).unwrap();
-        assert_same(&direct, &other.distribute(&spec, 10_000).unwrap());
+        assert_same(
+            &direct,
+            &distribute_cached(&spec, 10_000, Some(&other)).unwrap(),
+        );
         assert_eq!(other.stats().scbd_hits, 1);
         fs::remove_dir_all(&dir).ok();
     }
@@ -1106,8 +1100,8 @@ mod tests {
         let dir = tempdir("budgets");
         let cache = EvalCache::open(&dir).unwrap();
         let spec = spec();
-        let a = cache.distribute(&spec, 10_000).unwrap();
-        let b = cache.distribute(&spec, 5_000).unwrap();
+        let a = distribute_cached(&spec, 10_000, Some(&cache)).unwrap();
+        let b = distribute_cached(&spec, 5_000, Some(&cache)).unwrap();
         assert_ne!(a.total_budget, b.total_budget);
         assert_eq!(cache.stats().scbd_misses, 2);
         fs::remove_dir_all(&dir).ok();
@@ -1120,7 +1114,7 @@ mod tests {
         let spec = spec();
         for _ in 0..2 {
             assert!(matches!(
-                cache.distribute(&spec, 1),
+                distribute_cached(&spec, 1, Some(&cache)),
                 Err(ExploreError::BudgetTooTight { .. })
             ));
         }
@@ -1134,7 +1128,7 @@ mod tests {
         let dir = tempdir("truncate");
         let cache = EvalCache::open(&dir).unwrap();
         let spec = spec();
-        let original = cache.distribute(&spec, 10_000).unwrap();
+        let original = distribute_cached(&spec, 10_000, Some(&cache)).unwrap();
         let path = cache.scbd_path(&CacheKey::scbd(&spec, 10_000));
         let bytes = fs::read(&path).unwrap();
         // Every possible truncation point must miss cleanly, including
@@ -1146,7 +1140,7 @@ mod tests {
                 "truncation to {keep} bytes must read as a miss"
             );
             // The policy layer recomputes and repairs the entry.
-            let again = cache.distribute(&spec, 10_000).unwrap();
+            let again = distribute_cached(&spec, 10_000, Some(&cache)).unwrap();
             assert_same(&original, &again);
             assert!(cache.load_scbd(&CacheKey::scbd(&spec, 10_000)).is_some());
             fs::write(&path, &bytes).unwrap();
@@ -1159,7 +1153,7 @@ mod tests {
         let dir = tempdir("garbage");
         let cache = EvalCache::open(&dir).unwrap();
         let spec = spec();
-        cache.distribute(&spec, 10_000).unwrap();
+        distribute_cached(&spec, 10_000, Some(&cache)).unwrap();
         let key = CacheKey::scbd(&spec, 10_000);
         let path = cache.scbd_path(&key);
         let good = fs::read(&path).unwrap();
@@ -1223,7 +1217,7 @@ mod tests {
         let dir = tempdir("version");
         let cache = EvalCache::open(&dir).unwrap();
         let spec = spec();
-        cache.distribute(&spec, 10_000).unwrap();
+        distribute_cached(&spec, 10_000, Some(&cache)).unwrap();
         let key = CacheKey::scbd(&spec, 10_000);
         let path = cache.scbd_path(&key);
         let mut bytes = fs::read(&path).unwrap();
@@ -1249,7 +1243,7 @@ mod tests {
         let dir = tempdir("stale");
         let cache = EvalCache::open(&dir).unwrap();
         let spec = spec();
-        cache.distribute(&spec, 10_000).unwrap();
+        distribute_cached(&spec, 10_000, Some(&cache)).unwrap();
         let fresh = CacheKey::scbd(&spec, 10_000);
         assert!(cache.load_scbd(&fresh).is_some());
         // A recalibrated timing/pressure constant moves the model
@@ -1275,7 +1269,7 @@ mod tests {
         let dir = tempdir("echo");
         let cache = EvalCache::open(&dir).unwrap();
         let spec = spec();
-        cache.distribute(&spec, 10_000).unwrap();
+        distribute_cached(&spec, 10_000, Some(&cache)).unwrap();
         let key = CacheKey::scbd(&spec, 10_000);
         // Forge a collision: copy the entry to the filename another key
         // would hash to. The echoed key inside the entry must reject it.
@@ -1300,7 +1294,7 @@ mod tests {
         let writable = perms.clone();
         perms.set_readonly(true);
         fs::set_permissions(&scbd_dir, perms).unwrap();
-        let result = cache.distribute(&spec, 10_000);
+        let result = distribute_cached(&spec, 10_000, Some(&cache));
         fs::set_permissions(&scbd_dir, writable).unwrap();
         // Root-privileged runners can write into read-only directories;
         // only assert the failure accounting when the write really
@@ -1318,9 +1312,14 @@ mod tests {
         let spec = spec();
         let lib = memx_memlib::MemLibrary::default_07um();
         let schedule = scbd::distribute_with_budget(&spec, 10_000).unwrap();
-        let (org, stats) =
-            crate::alloc::assign_with_stats(&spec, &schedule, &lib, &AllocOptions::default())
-                .unwrap();
+        let (org, stats) = crate::alloc::assign_with_stats_cached(
+            &spec,
+            &schedule,
+            &lib,
+            &AllocOptions::default(),
+            None,
+        )
+        .unwrap();
         (org, stats, lib)
     }
 

@@ -83,8 +83,8 @@ thread_local! {
 /// thread — instrumentation backing the guarantee that an effective
 /// worker count of 1 takes the straight serial path (no thread is
 /// spawned, by [`parallel_map`] or any allocation fan-out).
-#[doc(hidden)]
-pub fn thread_spawns_on_current_thread() -> u64 {
+#[cfg(test)]
+pub(crate) fn thread_spawns_on_current_thread() -> u64 {
     THREAD_SPAWNS.with(|c| c.get())
 }
 
@@ -185,20 +185,6 @@ impl<'l> Engine<'l> {
         }
     }
 
-    /// Engine over `lib` with an explicit worker count (`0` = one per
-    /// available core, `1` = evaluate on the calling thread).
-    #[deprecated(note = "use `Engine::builder(lib).workers(n).build()`")]
-    pub fn with_workers(lib: &'l MemLibrary, workers: usize) -> Self {
-        Self::builder(lib).workers(workers).build()
-    }
-
-    /// Attaches a persistent evaluation cache.
-    #[deprecated(note = "use `Engine::builder(lib).eval_cache(cache).build()`")]
-    pub fn with_eval_cache(mut self, cache: Option<Arc<EvalCache>>) -> Self {
-        self.cache = cache;
-        self
-    }
-
     /// The attached persistent cache, if any.
     pub fn eval_cache(&self) -> Option<&EvalCache> {
         self.cache.as_deref()
@@ -215,17 +201,16 @@ impl<'l> Engine<'l> {
     /// point, on the calling thread.
     ///
     /// This is the memory-frugal path for very large batches: reports
-    /// carry full schedules, and a materializing API
-    /// ([`Engine::evaluate_many`]) keeps every one of them alive at
-    /// once. Here a report's lifetime is the visitor call. With one
-    /// worker the batch truly streams: schedules are distributed
-    /// lazily, memoized only while a later point still shares them, and
-    /// dropped after their last use — a unique-budget sweep (Table 3)
-    /// holds one schedule and one report at a time, whatever the row
-    /// count. With many workers the unique schedules are distributed up
-    /// front across the pool (and retained for the stream's duration),
-    /// and out-of-order completions wait in a reorder window bounded by
-    /// the evaluation skew, not the batch size.
+    /// carry full schedules, and a report's lifetime is the visitor
+    /// call. With one worker the batch truly streams: schedules are
+    /// distributed lazily, memoized only while a later point still
+    /// shares them, and dropped after their last use — a unique-budget
+    /// sweep (Table 3) holds one schedule and one report at a time,
+    /// whatever the row count. With many workers the unique schedules
+    /// are distributed up front across the pool (and retained for the
+    /// stream's duration), and out-of-order completions wait in a
+    /// reorder window bounded by the evaluation skew, not the batch
+    /// size.
     ///
     /// Points sharing a `(spec, budget)` pair reuse one memoized
     /// schedule, served from the persistent cache when one is attached
@@ -362,33 +347,15 @@ impl<'l> Engine<'l> {
         });
     }
 
-    /// Evaluates every design point, fanning the batch across the worker
-    /// pool, and returns the per-point results in input order.
-    ///
-    /// This is the materializing convenience over
-    /// [`Engine::evaluate_stream`]; prefer the streaming path when the
-    /// batch is large or reports are consumed one at a time.
-    pub fn evaluate_many(&self, points: &[DesignPoint]) -> Vec<Result<CostReport, ExploreError>> {
-        let mut results: Vec<Option<Result<CostReport, ExploreError>>> =
-            (0..points.len()).map(|_| None).collect();
-        self.evaluate_stream(points, |i, result| results[i] = Some(result));
-        results
-            .into_iter()
-            // memx-lint: allow(no-panic-paths) — `evaluate_stream` calls the visitor exactly once per input index.
-            .map(|slot| slot.expect("stream visits every point exactly once"))
-            .collect()
-    }
-
     /// Evaluates every design point and folds the reports into an
-    /// [`Exploration`] in input order — the batched equivalent of
-    /// repeated [`Exploration::add`] calls.
+    /// [`Exploration`] in input order.
     ///
     /// # Errors
     ///
     /// Returns the first (by input order) failing point's error; the
     /// exploration is not partially populated in that case.
-    pub fn explore(&self, points: &[DesignPoint]) -> Result<Exploration<'l>, ExploreError> {
-        let mut exploration = Exploration::new(self.lib);
+    pub fn explore(&self, points: &[DesignPoint]) -> Result<Exploration, ExploreError> {
+        let mut exploration = Exploration::default();
         let mut first_error: Option<ExploreError> = None;
         self.evaluate_stream(points, |_, result| {
             if first_error.is_none() {
@@ -490,14 +457,27 @@ mod tests {
             .collect()
     }
 
+    /// Every point's result in input order, collected from the stream.
+    fn evaluate_all(
+        engine: &Engine,
+        points: &[DesignPoint],
+    ) -> Vec<Result<CostReport, ExploreError>> {
+        let mut results = Vec::new();
+        engine.evaluate_stream(points, |i, result| {
+            assert_eq!(i, results.len(), "visited in input order");
+            results.push(result);
+        });
+        results
+    }
+
     #[test]
-    fn evaluate_many_matches_individual_evaluation() {
+    fn batch_matches_individual_evaluation() {
         let lib = MemLibrary::default_07um();
         let spec = spec("t");
         let points = budget_points(&spec);
         for workers in [1, 4] {
             let engine = Engine::builder(&lib).workers(workers).build();
-            let batch = engine.evaluate_many(&points);
+            let batch = evaluate_all(&engine, &points);
             assert_eq!(batch.len(), points.len());
             for (result, point) in batch.iter().zip(&points) {
                 let solo = evaluate(&spec, &lib, &point.options);
@@ -538,7 +518,7 @@ mod tests {
             })
             .collect();
         let engine = Engine::builder(&lib).workers(2).build();
-        for (result, point) in engine.evaluate_many(&points).iter().zip(&points) {
+        for (result, point) in evaluate_all(&engine, &points).iter().zip(&points) {
             let solo = evaluate(&spec, &lib, &point.options).unwrap();
             let batch = result.as_ref().unwrap();
             assert_eq!(batch.cost, solo.cost);
@@ -593,23 +573,20 @@ mod tests {
         let lib = MemLibrary::default_07um();
         let spec = spec("t");
         let points = budget_points(&spec);
-        let many = Engine::builder(&lib)
-            .workers(1)
-            .build()
-            .evaluate_many(&points);
+        let serial = evaluate_all(&Engine::builder(&lib).workers(1).build(), &points);
         for workers in [1, 2, 8] {
             let engine = Engine::builder(&lib).workers(workers).build();
             let mut visited: Vec<usize> = Vec::new();
             engine.evaluate_stream(&points, |i, result| {
                 visited.push(i);
-                match (&result, &many[i]) {
+                match (&result, &serial[i]) {
                     (Ok(a), Ok(b)) => {
                         assert_eq!(a.label, b.label);
                         assert_eq!(a.cost, b.cost);
                         assert_eq!(a.organization, b.organization);
                     }
                     (Err(a), Err(b)) => assert_eq!(a, b),
-                    (a, b) => panic!("stream {a:?} vs many {b:?}"),
+                    (a, b) => panic!("stream {a:?} vs serial {b:?}"),
                 }
             });
             assert_eq!(visited, vec![0, 1, 2, 3], "workers={workers}");
@@ -645,10 +622,7 @@ mod tests {
         let lib = MemLibrary::default_07um();
         let spec = spec("t");
         let points = budget_points(&spec);
-        let plain = Engine::builder(&lib)
-            .workers(2)
-            .build()
-            .evaluate_many(&points);
+        let plain = evaluate_all(&Engine::builder(&lib).workers(2).build(), &points);
         // Cold pass fills the cache, warm pass is served from it; both
         // must equal the uncached reports exactly.
         let mut cold_stats = None;
@@ -657,7 +631,7 @@ mod tests {
                 .workers(2)
                 .eval_cache(Arc::clone(&cache))
                 .build();
-            for (result, reference) in engine.evaluate_many(&points).iter().zip(&plain) {
+            for (result, reference) in evaluate_all(&engine, &points).iter().zip(&plain) {
                 match (result, reference) {
                     (Ok(a), Ok(b)) => {
                         assert_eq!(a.cost, b.cost, "{pass}");
@@ -723,20 +697,5 @@ mod tests {
         let lib = MemLibrary::default_07um();
         assert!(Engine::new(&lib).workers() >= 1);
         assert_eq!(Engine::builder(&lib).workers(5).build().workers(), 5);
-    }
-
-    /// The deprecated constructors stay behaviour-identical shims over
-    /// the builder until external callers have migrated.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_match_builder() {
-        let lib = MemLibrary::default_07um();
-        assert_eq!(
-            Engine::with_workers(&lib, 5).workers(),
-            Engine::builder(&lib).workers(5).build().workers()
-        );
-        let shim = Engine::with_workers(&lib, 1).with_eval_cache(None);
-        assert!(shim.eval_cache().is_none());
-        assert_eq!(shim.workers(), 1);
     }
 }

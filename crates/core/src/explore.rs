@@ -5,8 +5,9 @@
 //! budget, allocation) produces *variant specifications*; this module
 //! runs a variant through storage-cycle-budget distribution and memory
 //! allocation/assignment and returns the accurate area/power feedback
-//! that steers the next decision. [`Exploration`] batches variants and
-//! keeps their reports side by side, like the tables of the paper.
+//! that steers the next decision. [`Exploration`] keeps the reports of
+//! a batch side by side, like the tables of the paper;
+//! [`crate::engine::Engine::explore`] evaluates a batch into one.
 
 use std::fmt;
 
@@ -90,36 +91,13 @@ pub fn evaluate_with_cache(
     evaluate_scheduled_cached(spec, lib, schedule, options, eval_cache)
 }
 
-/// Runs allocation/assignment on an already-distributed schedule.
-///
-/// This is [`evaluate`] with the storage-cycle-budget stage factored
-/// out, so callers that evaluate many variants of one spec at the same
-/// budget (e.g. a Table-4 allocation sweep, or the engine's memoized
-/// batch evaluation — see [`crate::engine`]) can share one schedule
-/// instead of redistributing it per variant.
-///
-/// # Errors
-///
-/// Propagates [`ExploreError`]s from allocation/assignment.
-pub fn evaluate_scheduled(
-    spec: &AppSpec,
-    lib: &MemLibrary,
-    schedule: ScbdResult,
-    options: &EvaluateOptions,
-) -> Result<CostReport, ExploreError> {
-    evaluate_scheduled_cached(spec, lib, schedule, options, None)
-}
-
-/// [`evaluate_scheduled`] with an optional persistent cache for the
-/// allocation stage: a cached allocation solution short-circuits the
-/// branch-and-bound entirely (stats replayed, results bit-identical —
-/// see [`crate::alloc::assign_with_stats_cached`]).
-///
-/// # Errors
-///
-/// As for [`evaluate_scheduled`]; the cache itself never fails an
-/// evaluation.
-pub fn evaluate_scheduled_cached(
+/// Runs allocation/assignment on an already-distributed schedule, so
+/// callers that evaluate many variants of one spec at the same budget
+/// (the engine's memoized batch evaluation — see [`crate::engine`]) can
+/// share one schedule instead of redistributing it per variant. The
+/// optional cache serves the allocation stage exactly as in
+/// [`evaluate_with_cache`].
+pub(crate) fn evaluate_scheduled_cached(
     spec: &AppSpec,
     lib: &MemLibrary,
     schedule: ScbdResult,
@@ -139,44 +117,17 @@ pub fn evaluate_scheduled_cached(
     })
 }
 
-/// A batch of variant evaluations sharing one technology library — the
-/// "try out a number of alternatives and compare" workflow of every
+/// The reports of a batch of variant evaluations, in order — the "try
+/// out a number of alternatives and compare" workflow of every
 /// exploration table in the paper.
-#[derive(Debug)]
-pub struct Exploration<'a> {
-    lib: &'a MemLibrary,
+#[derive(Debug, Default)]
+pub struct Exploration {
     reports: Vec<CostReport>,
 }
 
-impl<'a> Exploration<'a> {
-    /// Creates an empty exploration over `lib`.
-    pub fn new(lib: &'a MemLibrary) -> Self {
-        Exploration {
-            lib,
-            reports: Vec::new(),
-        }
-    }
-
-    /// Evaluates a variant and records its report under `label`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the evaluation error without recording a report.
-    pub fn add(
-        &mut self,
-        label: impl Into<String>,
-        spec: &AppSpec,
-        options: &EvaluateOptions,
-    ) -> Result<&CostReport, ExploreError> {
-        let mut report = evaluate(spec, self.lib, options)?;
-        report.label = label.into();
-        self.reports.push(report);
-        // memx-lint: allow(no-panic-paths) — the report was pushed on the line above.
-        Ok(self.reports.last().expect("just pushed"))
-    }
-
-    /// Records an already-evaluated report (the fold target of the
-    /// engine's batched evaluation, see [`crate::engine::Engine`]).
+impl Exploration {
+    /// Records an evaluated report (the fold target of
+    /// [`crate::engine::Engine::explore`]).
     pub fn push(&mut self, report: CostReport) {
         self.reports.push(report);
     }
@@ -274,6 +225,7 @@ pub fn pareto_indices(costs: &[CostBreakdown]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{DesignPoint, Engine};
     use memx_ir::{AccessKind, AppSpecBuilder};
 
     fn spec() -> AppSpec {
@@ -313,21 +265,25 @@ mod tests {
         assert!(tight.schedule.total_budget < loose.schedule.total_budget);
     }
 
+    /// A `base` (spec budget) and a `tight` (20,000 cycles) report.
+    fn two_variants(lib: &MemLibrary) -> Exploration {
+        let mut exp = Exploration::default();
+        for (label, cycle_budget) in [("base", None), ("tight", Some(20_000))] {
+            let options = EvaluateOptions {
+                cycle_budget,
+                ..EvaluateOptions::default()
+            };
+            let mut report = evaluate(&spec(), lib, &options).unwrap();
+            report.label = label.to_owned();
+            exp.push(report);
+        }
+        exp
+    }
+
     #[test]
     fn exploration_collects_and_ranks() {
         let lib = MemLibrary::default_07um();
-        let mut exp = Exploration::new(&lib);
-        exp.add("base", &spec(), &EvaluateOptions::default())
-            .unwrap();
-        exp.add(
-            "tight",
-            &spec(),
-            &EvaluateOptions {
-                cycle_budget: Some(20_000),
-                ..EvaluateOptions::default()
-            },
-        )
-        .unwrap();
+        let exp = two_variants(&lib);
         assert_eq!(exp.reports().len(), 2);
         assert!(exp.best(1.0, 1.0).expect("weights valid").is_some());
         let table = exp.to_table("Table X");
@@ -339,18 +295,7 @@ mod tests {
     #[test]
     fn pareto_front_drops_dominated_variants() {
         let lib = MemLibrary::default_07um();
-        let mut exp = Exploration::new(&lib);
-        exp.add("loose", &spec(), &EvaluateOptions::default())
-            .unwrap();
-        exp.add(
-            "tight",
-            &spec(),
-            &EvaluateOptions {
-                cycle_budget: Some(20_000),
-                ..EvaluateOptions::default()
-            },
-        )
-        .unwrap();
+        let exp = two_variants(&lib);
         let front = exp.pareto_front();
         assert!(!front.is_empty());
         // Every front member is undominated.
@@ -368,9 +313,7 @@ mod tests {
     #[test]
     fn best_rejects_bad_weights_without_panicking() {
         let lib = MemLibrary::default_07um();
-        let mut exp = Exploration::new(&lib);
-        exp.add("base", &spec(), &EvaluateOptions::default())
-            .unwrap();
+        let exp = two_variants(&lib);
         // The regression this guards: NaN weights used to panic inside
         // the comparison ("costs are finite").
         for (aw, pw) in [
@@ -387,7 +330,7 @@ mod tests {
             );
         }
         // An empty exploration with valid weights is None, not an error.
-        let empty = Exploration::new(&lib);
+        let empty = Exploration::default();
         assert!(empty.best(1.0, 1.0).unwrap().is_none());
     }
 
@@ -405,16 +348,19 @@ mod tests {
     #[test]
     fn infeasible_variant_is_not_recorded() {
         let lib = MemLibrary::default_07um();
-        let mut exp = Exploration::new(&lib);
-        let result = exp.add(
-            "impossible",
-            &spec(),
-            &EvaluateOptions {
-                cycle_budget: Some(10),
+        let spec = spec();
+        let point = |label, cycle_budget| {
+            let options = EvaluateOptions {
+                cycle_budget,
                 ..EvaluateOptions::default()
-            },
-        );
-        assert!(result.is_err());
-        assert!(exp.reports().is_empty());
+            };
+            DesignPoint::new(label, &spec, options)
+        };
+        let points = [point("base", None), point("impossible", Some(10))];
+        let engine = Engine::builder(&lib).workers(1).build();
+        assert!(matches!(
+            engine.explore(&points),
+            Err(ExploreError::BudgetTooTight { .. })
+        ));
     }
 }

@@ -156,7 +156,7 @@ pub fn search_report(stats: &AllocStats) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alloc::{assign, assign_with_stats, AllocOptions};
+    use crate::alloc::{assign_with_stats_cached, AllocOptions};
     use crate::scbd;
     use memx_ir::{AccessKind, AppSpecBuilder, Placement};
     use memx_memlib::MemLibrary;
@@ -205,7 +205,9 @@ mod tests {
         let spec = spec();
         let sched = scbd::distribute(&spec).unwrap();
         let lib = MemLibrary::default_07um();
-        let org = assign(&spec, &sched, &lib, &AllocOptions::default()).unwrap();
+        let org = assign_with_stats_cached(&spec, &sched, &lib, &AllocOptions::default(), None)
+            .unwrap()
+            .0;
         let s = organization_report(&spec, &org);
         assert!(s.contains("on-chip SRAM"));
         assert!(s.contains("off-chip EDO"));
@@ -217,7 +219,8 @@ mod tests {
         let spec = spec();
         let sched = scbd::distribute(&spec).unwrap();
         let lib = MemLibrary::default_07um();
-        let (_, stats) = assign_with_stats(&spec, &sched, &lib, &AllocOptions::default()).unwrap();
+        let (_, stats) =
+            assign_with_stats_cached(&spec, &sched, &lib, &AllocOptions::default(), None).unwrap();
         let s = search_report(&stats);
         assert!(s.contains("Allocation search effort"));
         assert!(s.contains("dominance cut"));

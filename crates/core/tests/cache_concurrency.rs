@@ -11,7 +11,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use memx_core::alloc::{alloc_cache_key, assign_with_stats, AllocOptions};
+use memx_core::alloc::{alloc_cache_key, assign_with_stats_cached, AllocOptions};
 use memx_core::cache::{CacheKey, EvalCache};
 use memx_core::scbd;
 use memx_ir::{AccessKind, AppSpec, AppSpecBuilder};
@@ -79,7 +79,8 @@ fn concurrent_alloc_writer_child() {
     let options = shared_alloc_options();
     let schedule = scbd::distribute_with_budget(&spec, BUDGET).expect("schedulable");
     let key = alloc_cache_key(&spec, &schedule, &lib, &options).expect("splittable");
-    let (org, stats) = assign_with_stats(&spec, &schedule, &lib, &options).expect("assignable");
+    let (org, stats) =
+        assign_with_stats_cached(&spec, &schedule, &lib, &options, None).expect("assignable");
     for _ in 0..CHILD_STORES {
         cache.store_alloc(&key, &org, &stats);
     }
@@ -98,7 +99,7 @@ fn concurrent_alloc_writers_two_processes_same_key() {
     let schedule = scbd::distribute_with_budget(&spec, BUDGET).expect("schedulable");
     let key = alloc_cache_key(&spec, &schedule, &lib, &options).expect("splittable");
     let (ref_org, ref_stats) =
-        assign_with_stats(&spec, &schedule, &lib, &options).expect("assignable");
+        assign_with_stats_cached(&spec, &schedule, &lib, &options, None).expect("assignable");
 
     let exe = std::env::current_exe().expect("test binary path");
     let spawn = || {

@@ -2,8 +2,8 @@
 //! assignment invariants over random specifications.
 
 use memx_core::alloc::{
-    assign, assign_with_stats, assign_with_stats_cached, bell_number,
-    off_chip_exhaustive_reference, root_lower_bounds, AllocOptions, BoundKind, MemoryKind,
+    assign_with_stats_cached, bell_number, off_chip_exhaustive_reference, root_lower_bounds,
+    AllocOptions, BoundKind, MemoryKind,
 };
 use memx_core::cache::EvalCache;
 use memx_core::explore::pareto_indices;
@@ -335,8 +335,8 @@ proptest! {
     fn assignment_partitions_all_accessed_groups(spec in arb_spec()) {
         let lib = MemLibrary::default_07um();
         let schedule = scbd::distribute(&spec).expect("schedulable");
-        let org = assign(&spec, &schedule, &lib, &AllocOptions::default())
-            .expect("assignable with free allocation");
+        let org = assign_with_stats_cached(&spec, &schedule, &lib, &AllocOptions::default(), None)
+            .expect("assignable with free allocation").0;
         let mut seen = vec![false; spec.basic_groups().len()];
         for mem in &org.memories {
             prop_assert!(!mem.groups.is_empty());
@@ -367,8 +367,8 @@ proptest! {
     fn off_chip_groups_land_in_off_chip_memories(spec in arb_spec()) {
         let lib = MemLibrary::default_07um();
         let schedule = scbd::distribute(&spec).expect("schedulable");
-        let org = assign(&spec, &schedule, &lib, &AllocOptions::default())
-            .expect("assignable");
+        let org = assign_with_stats_cached(&spec, &schedule, &lib, &AllocOptions::default(), None)
+            .expect("assignable").0;
         for mem in &org.memories {
             for &g in &mem.groups {
                 let off_group = spec.group(g).placement() == Placement::OffChip;
@@ -382,15 +382,15 @@ proptest! {
     fn parallel_assignment_is_bit_identical_to_serial(spec in arb_spec()) {
         let lib = MemLibrary::default_07um();
         let schedule = scbd::distribute(&spec).expect("schedulable");
-        let serial = assign(&spec, &schedule, &lib, &AllocOptions {
+        let serial = assign_with_stats_cached(&spec, &schedule, &lib, &AllocOptions {
             workers: 1,
             ..AllocOptions::default()
-        }).expect("assignable");
+        }, None).expect("assignable").0;
         for workers in [2usize, 8] {
-            let parallel = assign(&spec, &schedule, &lib, &AllocOptions {
+            let parallel = assign_with_stats_cached(&spec, &schedule, &lib, &AllocOptions {
                 workers,
                 ..AllocOptions::default()
-            }).expect("assignable");
+            }, None).expect("assignable").0;
             prop_assert_eq!(&serial, &parallel, "workers={}", workers);
         }
     }
@@ -407,17 +407,17 @@ proptest! {
         // cut off identically for every worker count.
         let lib = MemLibrary::default_07um();
         let schedule = scbd::distribute(&spec).expect("schedulable");
-        let serial = assign(&spec, &schedule, &lib, &AllocOptions {
+        let serial = assign_with_stats_cached(&spec, &schedule, &lib, &AllocOptions {
             workers: 1,
             node_limit,
             ..AllocOptions::default()
-        });
+        }, None).map(|(org, _)| org);
         for workers in [2usize, 8] {
-            let fanned = assign(&spec, &schedule, &lib, &AllocOptions {
+            let fanned = assign_with_stats_cached(&spec, &schedule, &lib, &AllocOptions {
                 workers,
                 node_limit,
                 ..AllocOptions::default()
-            });
+            }, None).map(|(org, _)| org);
             prop_assert_eq!(&serial, &fanned, "workers={}", workers);
         }
     }
@@ -431,17 +431,17 @@ proptest! {
         // partition search (2–6 off-chip groups plus the on-chip sink).
         let lib = MemLibrary::default_07um();
         let schedule = scbd::distribute(&spec).expect("schedulable");
-        let serial = assign(&spec, &schedule, &lib, &AllocOptions {
+        let serial = assign_with_stats_cached(&spec, &schedule, &lib, &AllocOptions {
             workers: 1,
             node_limit,
             ..AllocOptions::default()
-        });
+        }, None).map(|(org, _)| org);
         for workers in [2usize, 8] {
-            let fanned = assign(&spec, &schedule, &lib, &AllocOptions {
+            let fanned = assign_with_stats_cached(&spec, &schedule, &lib, &AllocOptions {
                 workers,
                 node_limit,
                 ..AllocOptions::default()
-            });
+            }, None).map(|(org, _)| org);
             prop_assert_eq!(&serial, &fanned, "workers={}", workers);
         }
     }
@@ -505,11 +505,11 @@ proptest! {
         for k in 1..=groups.len() {
             let optimum = exhaustive_on_chip_optimum(&spec, &schedule, &lib, &groups, k);
             for bound in [BoundKind::Solo, BoundKind::Pairwise] {
-                let result = assign(&spec, &schedule, &lib, &AllocOptions {
+                let result = assign_with_stats_cached(&spec, &schedule, &lib, &AllocOptions {
                     on_chip_memories: Some(k as u32),
                     bound,
                     ..AllocOptions::default()
-                });
+                }, None).map(|(org, _)| org);
                 match (&optimum, result) {
                     (Some(opt), Ok(org)) => {
                         let scalar = org.cost.scalar(1.0, 1.0);
@@ -550,10 +550,10 @@ proptest! {
             })
             .count();
         for workers in [1usize, 2, 8] {
-            let result = assign_with_stats(&spec, &schedule, &lib, &AllocOptions {
+            let result = assign_with_stats_cached(&spec, &schedule, &lib, &AllocOptions {
                 workers,
                 ..AllocOptions::default()
-            });
+            }, None);
             match (&reference, result) {
                 (Ok((want, _)), Ok((org, stats))) => {
                     let got: Vec<_> = org
@@ -619,10 +619,10 @@ proptest! {
         prop_assert!(!groups.is_empty(), "every nest has at least one access");
         for k in 1..=groups.len() {
             let optimum = exhaustive_on_chip_optimum(&spec, &schedule, &lib, &groups, k);
-            let result = assign(&spec, &schedule, &lib, &AllocOptions {
+            let result = assign_with_stats_cached(&spec, &schedule, &lib, &AllocOptions {
                 on_chip_memories: Some(k as u32),
                 ..AllocOptions::default()
-            });
+            }, None).map(|(org, _)| org);
             match (&optimum, result) {
                 (Some(opt), Ok(org)) => {
                     let scalar = org.cost.scalar(1.0, 1.0);
@@ -655,7 +655,8 @@ proptest! {
         for bound in [BoundKind::Solo, BoundKind::Pairwise] {
             let serial = AllocOptions { workers: 1, bound, ..AllocOptions::default() };
             let (want_org, want_stats) =
-                assign_with_stats(&spec, &schedule, &lib, &serial).expect("assignable");
+                assign_with_stats_cached(&spec, &schedule, &lib, &serial, None)
+                    .expect("assignable");
 
             let dir = std::env::temp_dir().join(format!(
                 "memx-prop-alloc-{}-{}",
@@ -765,8 +766,8 @@ proptest! {
     fn organization_cost_is_sum_of_memory_costs(spec in arb_spec()) {
         let lib = MemLibrary::default_07um();
         let schedule = scbd::distribute(&spec).expect("schedulable");
-        let org = assign(&spec, &schedule, &lib, &AllocOptions::default())
-            .expect("assignable");
+        let org = assign_with_stats_cached(&spec, &schedule, &lib, &AllocOptions::default(), None)
+            .expect("assignable").0;
         let total: memx_memlib::CostBreakdown = org.memories.iter().map(|m| m.cost).sum();
         prop_assert!((total.on_chip_area_mm2 - org.cost.on_chip_area_mm2).abs() < 1e-9);
         prop_assert!((total.total_power_mw() - org.cost.total_power_mw()).abs() < 1e-9);

@@ -7,7 +7,7 @@
 //! byte-identity gates diff against the offline reference.
 
 use std::fmt;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -103,7 +103,14 @@ fn request(
         stream.write_all(body.as_bytes())?;
     }
     stream.flush()?;
-    read_response(&mut BufReader::new(stream))
+    let mut reader = BufReader::new(stream);
+    let response = read_response(&mut reader)?;
+    // Wait for the daemon to close the connection, as asked: it frees
+    // the connection's admission slot first, so a follow-up request
+    // never races the slot release and gets shed. The response is
+    // complete, so a reset instead of a clean close changes nothing.
+    let _ = reader.read_to_end(&mut Vec::new());
+    Ok(response)
 }
 
 /// Reads one response off `reader` (shared with the tests, which drive

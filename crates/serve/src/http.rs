@@ -269,7 +269,8 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete non-streaming response with a JSON body.
+/// Writes a complete non-streaming response with a JSON body, head and
+/// body in one write (see [`ChunkedWriter`] for why).
 ///
 /// # Errors
 ///
@@ -292,13 +293,18 @@ pub fn write_response(
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
+    head.push_str(body);
     stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
     stream.flush()
 }
 
 /// A chunked streaming response: one `chunk` call per row, then
 /// `finish` with the trailer fields.
+///
+/// Every response piece (head, chunk, terminator) goes out as a single
+/// write. Split writes of one piece let Nagle's algorithm hold its tail
+/// back until the peer's delayed ACK, which stalls every keep-alive
+/// response by tens of milliseconds.
 #[derive(Debug)]
 pub struct ChunkedWriter<W: Write> {
     stream: W,
@@ -337,9 +343,10 @@ impl<W: Write> ChunkedWriter<W> {
         if payload.is_empty() {
             return Ok(());
         }
-        write!(self.stream, "{:x}\r\n", payload.len())?;
-        self.stream.write_all(payload)?;
-        self.stream.write_all(b"\r\n")?;
+        let mut frame = format!("{:x}\r\n", payload.len()).into_bytes();
+        frame.extend_from_slice(payload);
+        frame.extend_from_slice(b"\r\n");
+        self.stream.write_all(&frame)?;
         self.stream.flush()
     }
 
@@ -349,11 +356,12 @@ impl<W: Write> ChunkedWriter<W> {
     ///
     /// Propagates socket write failures.
     pub fn finish(mut self, trailers: &[(&str, String)]) -> std::io::Result<()> {
-        self.stream.write_all(b"0\r\n")?;
+        let mut tail = String::from("0\r\n");
         for (name, value) in trailers {
-            write!(self.stream, "{name}: {value}\r\n")?;
+            tail.push_str(&format!("{name}: {value}\r\n"));
         }
-        self.stream.write_all(b"\r\n")?;
+        tail.push_str("\r\n");
+        self.stream.write_all(tail.as_bytes())?;
         self.stream.flush()
     }
 }

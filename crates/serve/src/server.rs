@@ -16,7 +16,9 @@
 //!
 //! The accept loop admits a connection only while
 //! `active < handlers + queue_depth` (`active` counts admitted, not-yet
-//! -finished connections). Beyond that the daemon *sheds* the
+//! -finished connections; a connection's slot is released before its
+//! socket closes, so a client that has seen the close finds the slot
+//! free). Beyond that the daemon *sheds* the
 //! connection immediately — `503` with a `Retry-After` header — instead
 //! of queueing unboundedly or hanging the client. Admission state
 //! changes only under the one mutex, so the saturation threshold is
@@ -267,8 +269,10 @@ fn handler_loop(shared: &Shared) {
                 admit = shared.ready.wait(admit).unwrap_or_else(|p| p.into_inner());
             }
         };
-        serve_connection(shared, stream);
+        serve_connection(shared, &stream);
+        // Release the slot before the socket closes (see module docs).
         lock(&shared.admit).active -= 1;
+        drop(stream);
     }
 }
 
@@ -277,13 +281,16 @@ fn handler_loop(shared: &Shared) {
 /// response and closes the connection (the byte stream is no longer
 /// trustworthy after a framing violation); the daemon itself stays
 /// serviceable either way.
-fn serve_connection(shared: &Shared, stream: TcpStream) {
+fn serve_connection(shared: &Shared, stream: &TcpStream) {
     let _ = stream.set_read_timeout(shared.read_timeout);
-    let mut reader = BufReader::new(match stream.try_clone() {
+    // Responses are written whole (see `http::ChunkedWriter`); no-delay
+    // sends each one at once instead of waiting for the peer's ACK.
+    let _ = stream.set_nodelay(true);
+    let mut writer = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
-    });
-    let mut writer = stream;
+    };
+    let mut reader = BufReader::new(stream);
     loop {
         let request = match http::read_request(&mut reader, shared.read_limits) {
             Ok(None) => return,

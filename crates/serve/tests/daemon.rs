@@ -6,7 +6,7 @@
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use memx_core::cache::EvalCache;
 use memx_memlib::MemLibrary;
@@ -239,5 +239,32 @@ fn stats_counts_requests_and_rows() {
     assert_eq!(
         parsed.get("rows_streamed").unwrap().as_u64().unwrap(),
         2 * rows
+    );
+}
+
+/// Keep-alive responses must not stall. Each response piece leaves the
+/// daemon as one write on a no-delay socket; otherwise Nagle's algorithm
+/// holds a response tail back until the client's delayed ACK, about
+/// 40 ms per response on Linux.
+#[test]
+fn keep_alive_responses_do_not_stall() {
+    let addr = boot_default();
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let start = Instant::now();
+    for _ in 0..10 {
+        (&stream)
+            .write_all(b"GET /v1/stats HTTP/1.1\r\nhost: memx-serve\r\n\r\n")
+            .unwrap();
+        let response = client::read_response(&mut reader).unwrap();
+        assert_eq!(response.status, 200);
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(200),
+        "10 keep-alive requests took {elapsed:?}"
     );
 }

@@ -5,7 +5,8 @@
 
 use memexplore::btpc::spec::{btpc_app_spec, measure_profile};
 use memexplore::btpc::{CodecConfig, Decoder, Encoder, Image};
-use memexplore::core::explore::{evaluate, EvaluateOptions, Exploration};
+use memexplore::core::engine::{DesignPoint, Engine};
+use memexplore::core::explore::{evaluate, EvaluateOptions};
 use memexplore::core::hierarchy::{apply_hierarchy, HierarchyLayer};
 use memexplore::core::structuring::merge;
 use memexplore::core::{macp, pruning};
@@ -54,29 +55,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
 
     let lib = MemLibrary::default_07um();
+    let engine = Engine::new(&lib);
+    let point = |label, spec| DesignPoint::new(label, spec, EvaluateOptions::default());
 
     // ---- Step 3: basic group structuring (§4.3, Table 1). --------------
-    let mut t1 = Exploration::new(&lib);
-    t1.add("No structuring", &btpc.spec, &EvaluateOptions::default())?;
     let merged = merge(&btpc.spec, btpc.pyr, btpc.ridge)?;
-    t1.add(
-        "ridge and pyr merged",
-        &merged.spec,
-        &EvaluateOptions::default(),
-    )?;
+    let t1 = engine.explore(&[
+        point("No structuring", &btpc.spec),
+        point("ridge and pyr merged", &merged.spec),
+    ])?;
     print!("{}", t1.to_table("Step 3 — structuring feedback:"));
     println!("-> merging wins: fewer off-chip accesses relax the bandwidth.\n");
 
     // ---- Step 4: memory hierarchy (§4.4, Table 2). ----------------------
     let ylocal = HierarchyLayer::new("ylocal", 12, 2, 2.0);
     let with_layer = apply_hierarchy(&merged.spec, merged.new_group, &[ylocal])?;
-    let mut t2 = Exploration::new(&lib);
-    t2.add("No hierarchy", &merged.spec, &EvaluateOptions::default())?;
-    t2.add(
-        "ylocal layer",
-        &with_layer.spec,
-        &EvaluateOptions::default(),
-    )?;
+    let t2 = engine.explore(&[
+        point("No hierarchy", &merged.spec),
+        point("ylocal layer", &with_layer.spec),
+    ])?;
     print!("{}", t2.to_table("Step 4 — hierarchy feedback:"));
     println!("-> the 12-register layer removes the dual-port off-chip need.\n");
 

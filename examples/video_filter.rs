@@ -8,7 +8,8 @@
 //!
 //! Run with `cargo run --release --example video_filter`.
 
-use memexplore::core::explore::{EvaluateOptions, Exploration};
+use memexplore::core::engine::{DesignPoint, Engine};
+use memexplore::core::explore::EvaluateOptions;
 use memexplore::core::hierarchy::{apply_hierarchy, HierarchyLayer};
 use memexplore::ir::{AccessKind, AppSpec, AppSpecBuilder, BasicGroupId, Placement};
 use memexplore::memlib::MemLibrary;
@@ -70,10 +71,7 @@ fn build_spec() -> Result<(AppSpec, BasicGroupId), Box<dyn std::error::Error>> {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (spec, diff) = build_spec()?;
     let lib = MemLibrary::default_07um();
-    let mut exp = Exploration::new(&lib);
-    let options = EvaluateOptions::default();
-
-    exp.add("No hierarchy", &spec, &options)?;
+    let point = |label, spec| DesignPoint::new(label, spec, EvaluateOptions::default());
 
     // The 3x3 window re-reads each diff pixel ~9 times; a 3-line buffer
     // captures that reuse entirely (reuse factor 9 with line-buffer
@@ -81,15 +79,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let window = HierarchyLayer::new("window", 9, 2, 3.0);
     let lines = HierarchyLayer::new("linebuf", 3 * W, 2, 9.0);
     let with_window = apply_hierarchy(&spec, diff, std::slice::from_ref(&window))?;
-    exp.add("9-register window", &with_window.spec, &options)?;
     let with_lines = apply_hierarchy(&spec, diff, std::slice::from_ref(&lines))?;
-    exp.add("3-line buffer", &with_lines.spec, &options)?;
     let with_both = apply_hierarchy(
         &spec,
         diff,
         &[window, HierarchyLayer::new("linebuf", 3 * W, 1, 9.0)],
     )?;
-    exp.add("window + line buffer", &with_both.spec, &options)?;
+    let exp = Engine::new(&lib).explore(&[
+        point("No hierarchy", &spec),
+        point("9-register window", &with_window.spec),
+        point("3-line buffer", &with_lines.spec),
+        point("window + line buffer", &with_both.spec),
+    ])?;
 
     print!(
         "{}",

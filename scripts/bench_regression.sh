@@ -36,12 +36,8 @@
 #
 # A missing PREV (first run, expired CI cache) skips the wall-clock
 # comparison with a note instead of failing, so the gate bootstraps
-# itself. A PREV from an older schema (no table4_off_chip block, a
-# v3 artifact without the scbd_cache block, a v4 artifact without
-# the alloc_cache block, a v5 artifact without the dominance block, a
-# v6 artifact without the serve block, or a v7 artifact without the
-# corpus block) skips only the affected vs-baseline comparison, again
-# with a note — older artifacts must never turn the gate red.
+# itself. A PREV without the table4_off_chip block skips only the
+# off-chip vs-baseline comparison, again with a note.
 set -euo pipefail
 
 prev=${1:?usage: bench_regression.sh PREV.json NEW.json}
@@ -132,9 +128,6 @@ else
     echo "bench-regression: FAIL $new lacks dominance counters" >&2
     fail=1
 fi
-if [ -f "$prev" ] && [ -z "$(block_field "$prev" dominance plateau_nodes_with)" ]; then
-    echo "bench-regression: previous artifact predates the dominance block (v5 schema); dominance gate is self-contained, nothing skipped"
-fi
 
 # --- Persistent-cache invariants (self-contained), per entry kind. ----
 for kind in scbd alloc; do
@@ -155,14 +148,6 @@ for kind in scbd alloc; do
         fail=1
     fi
 done
-# The cache gates read only NEW; a v3 PREV (no scbd_cache block) or a
-# v4 PREV (no alloc_cache block) therefore needs no comparison — note
-# it for symmetry with the other schema-bump tolerances.
-if [ -f "$prev" ] && [ -z "$(field "$prev" warm_hits)" ]; then
-    echo "bench-regression: previous artifact predates scbd_cache (older schema); cache gate is self-contained, nothing skipped"
-elif [ -f "$prev" ] && [ -z "$(block_field "$prev" alloc_cache warm_hits)" ]; then
-    echo "bench-regression: previous artifact predates alloc_cache (v4 schema); cache gate is self-contained, nothing skipped"
-fi
 
 # --- Resident-daemon cache invariant (self-contained). ----------------
 serve_warm_hits=$(block_field "$new" serve warm_hits)
@@ -177,9 +162,6 @@ if [ -n "$serve_warm_hits" ] && [ -n "$serve_rows" ]; then
 else
     echo "bench-regression: FAIL $new lacks serve counters" >&2
     fail=1
-fi
-if [ -f "$prev" ] && [ -z "$(block_field "$prev" serve warm_hits)" ]; then
-    echo "bench-regression: previous artifact predates the serve block (v6 schema); serve gate is self-contained, nothing skipped"
 fi
 
 # --- Workload-corpus invariant (self-contained). ----------------------
@@ -198,9 +180,6 @@ if [ -n "$corpus_entries" ] && [ -n "$corpus_warm_hits" ]; then
 else
     echo "bench-regression: FAIL $new lacks corpus counters" >&2
     fail=1
-fi
-if [ -f "$prev" ] && [ -z "$(block_field "$prev" corpus entries)" ]; then
-    echo "bench-regression: previous artifact predates the corpus block (v7 schema); corpus gate is self-contained, nothing skipped"
 fi
 
 # --- Off-chip nodes vs the previous artifact. -------------------------

@@ -48,13 +48,15 @@ fn full_pipeline_from_pixels_to_organization() {
     let lib = MemLibrary::default_07um();
     let schedule = scbd::distribute(&layered.spec).expect("schedule fits");
     assert!(schedule.used_cycles <= layered.spec.cycle_budget());
-    let org = alloc::assign(
+    let org = alloc::assign_with_stats_cached(
         &layered.spec,
         &schedule,
         &lib,
         &alloc::AllocOptions::default(),
+        None,
     )
-    .expect("assignment feasible");
+    .expect("assignment feasible")
+    .0;
 
     // Every accessed group is assigned exactly once.
     let mut assigned: Vec<usize> = org
