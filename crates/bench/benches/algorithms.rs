@@ -73,6 +73,21 @@ fn bench_alloc(c: &mut Criterion) {
             .0
         })
     });
+    // The same sweep serially: 2,593,968 nodes, deterministic, past the
+    // default 2 M node budget that makes perfbench's BTPC pass count it
+    // as exhausted. With the node count fixed, its time tracks the cost
+    // per branch-and-bound node.
+    let serial = AllocOptions {
+        workers: 1,
+        ..AllocOptions::default()
+    };
+    group.bench_function("assign/sweep_serial", |b| {
+        b.iter(|| {
+            assign_with_stats_cached(std::hint::black_box(&spec), &schedule, &lib, &serial, None)
+                .expect("assignable")
+                .0
+        })
+    });
     group.finish();
 }
 

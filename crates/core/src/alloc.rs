@@ -124,6 +124,24 @@
 //!   fresh from the same table entries as the from-scratch bound,
 //!   never accumulated across nodes, so no float drift is possible.
 //!
+//! # Memoized pricing
+//!
+//! Every on-chip node prices the memory its group joins or opens. The
+//! search keeps each bin as a group mask and prices it through a
+//! per-worker memo (`MaskMemo`, a lookup-only open-addressing table
+//! keyed by the mask), so the search for one allocation size prices
+//! each mask once however many nodes reach it. The memo is
+//! **bit-identical** to pricing every node afresh. Words, width and
+//! ports are exact integer functions of the mask. The one float fold,
+//! the access sum, runs over the members in the sweep's hardest-first
+//! `order`, which is the sequence in which the search fills every bin,
+//! so the member sequence and hence the fold's bits are fixed by the
+//! mask. Worker memos hold the same values, so merging them back
+//! changes no result; debug builds re-price every memo hit and assert
+//! bit equality. Port counts get no memo of their own: the oracle runs
+//! only on a price miss, and it skips every conflict slot that shares
+//! no group with the mask.
+//!
 //! # Off-chip node budget
 //!
 //! The off-chip search shares [`AllocOptions::node_limit`]. Unlike the
@@ -203,7 +221,6 @@ use std::collections::BTreeMap;
 // seed, float accumulation) must bump the revision in `core::cache`.
 // memx-lint: fingerprinted(OFF_CHIP_BLOCKS_ALGO_REVISION) — changes to how
 // the pricer costs a group subset must bump the revision in `core::cache`.
-use std::sync::Arc;
 
 use memx_ir::hash::StableHasher;
 use memx_ir::{AppSpec, BasicGroupId, Placement};
@@ -449,18 +466,109 @@ fn group_traffic(spec: &AppSpec) -> Vec<Traffic> {
     traffic
 }
 
-/// Per-slot access-count table for fast port-requirement queries over
-/// group subsets (bitmask-indexed, memoized).
+/// A lookup-only memo keyed by non-empty group masks: open addressing
+/// with linear probing over a power-of-two table, Fibonacci-hashed. Key
+/// 0 marks an empty slot (no memory holds the empty set). The table
+/// starts small, so tiny searches pay nothing, and doubles at half load.
 ///
-/// Cloning is cheap: the slot table is shared behind an [`Arc`] and each
-/// clone keeps its own memoization cache, so every branch-and-bound
-/// worker thread can query ports without synchronization.
+/// Entries are only ever looked up or copied into another memo, never
+/// iterated to produce results, so slot order cannot reach any output.
 #[derive(Clone)]
+struct MaskMemo<V> {
+    slots: Vec<(u64, V)>,
+    len: usize,
+    /// `64 − log2(slots.len())`: the hash's top bits index the table.
+    shift: u32,
+}
+
+impl<V: Copy + Default> MaskMemo<V> {
+    const INITIAL_SLOTS: usize = 64;
+
+    fn new() -> Self {
+        Self::with_slots(Self::INITIAL_SLOTS)
+    }
+
+    fn with_slots(n: usize) -> Self {
+        MaskMemo {
+            slots: vec![(0, V::default()); n],
+            len: 0,
+            shift: u64::BITS - n.trailing_zeros(),
+        }
+    }
+
+    /// Home slot of `mask`: Fibonacci hashing by 2^64 / φ.
+    fn home(&self, mask: u64) -> usize {
+        (mask.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    fn get(&self, mask: u64) -> Option<V> {
+        debug_assert_ne!(mask, 0, "the empty mask marks free slots");
+        let wrap = self.slots.len() - 1;
+        let mut i = self.home(mask);
+        loop {
+            let (key, value) = self.slots[i];
+            if key == mask {
+                return Some(value);
+            }
+            if key == 0 {
+                return None;
+            }
+            i = (i + 1) & wrap;
+        }
+    }
+
+    /// Records `value` for `mask` unless an entry already exists — an
+    /// existing entry is never overwritten.
+    fn insert(&mut self, mask: u64, value: V) {
+        debug_assert_ne!(mask, 0, "the empty mask marks free slots");
+        if 2 * (self.len + 1) > self.slots.len() {
+            let old = std::mem::replace(self, Self::with_slots(2 * self.slots.len()));
+            self.merge(old);
+        }
+        let wrap = self.slots.len() - 1;
+        let mut i = self.home(mask);
+        loop {
+            match self.slots[i].0 {
+                0 => {
+                    self.slots[i] = (mask, value);
+                    self.len += 1;
+                    return;
+                }
+                key if key == mask => return,
+                _ => i = (i + 1) & wrap,
+            }
+        }
+    }
+
+    /// Copies in every entry of `other` this memo lacks.
+    fn merge(&mut self, other: Self) {
+        for (mask, value) in other.slots {
+            if mask != 0 {
+                self.insert(mask, value);
+            }
+        }
+    }
+}
+
+/// One deduplicated port-conflict slot: the simultaneous accesses per
+/// group in one busy cycle, plus the mask of those groups.
+struct ConflictSlot {
+    /// (group index, simultaneous accesses), ascending by group.
+    counts: Vec<(usize, u32)>,
+    /// Bits of the groups in `counts` (a group index beyond the mask
+    /// width never enters a query mask, so it contributes no bit).
+    mask: u64,
+}
+
+/// Port requirements of group subsets, from the schedule's
+/// multi-occupant busy slots and the groups' port minimums.
+///
+/// Read-only and unmemoized: both searches memoize the prices derived
+/// from a mask's ports, so the oracle runs only on a price miss, and
+/// worker threads share it by reference.
 struct PortOracle {
-    /// Each entry: (group index, simultaneous accesses) per busy cycle.
-    slots: Arc<Vec<Vec<(usize, u32)>>>,
-    min_ports: Arc<Vec<u32>>,
-    cache: BTreeMap<u64, u32>,
+    slots: Vec<ConflictSlot>,
+    min_ports: Vec<u32>,
 }
 
 impl PortOracle {
@@ -484,22 +592,27 @@ impl PortOracle {
         }
         slots.sort();
         slots.dedup();
+        let slots = slots
+            .into_iter()
+            .map(|counts| ConflictSlot {
+                mask: counts
+                    .iter()
+                    .map(|&(g, _)| 1u64.checked_shl(g as u32).unwrap_or(0))
+                    .fold(0, |m, bit| m | bit),
+                counts,
+            })
+            .collect();
         PortOracle {
-            slots: Arc::new(slots),
-            min_ports: Arc::new(spec.basic_groups().iter().map(|g| g.min_ports()).collect()),
-            cache: BTreeMap::new(),
+            slots,
+            min_ports: spec.basic_groups().iter().map(|g| g.min_ports()).collect(),
         }
     }
 
     /// Ports required by a memory storing exactly the groups in `mask`.
-    fn required(&mut self, mask: u64) -> u32 {
-        if let Some(&p) = self.cache.get(&mask) {
-            return p;
-        }
+    fn required(&self, mask: u64) -> u32 {
         let mut ports = 1u32;
-        // Visit only the set bits — this is the innermost pricing
-        // primitive and masks are sparse, so scanning all 64 positions
-        // per uncached mask was measurable. `get` keeps the historical
+        // Visit only the set bits — masks are sparse, so scanning all 64
+        // positions per query was measurable. `get` keeps the historical
         // behavior of ignoring bits beyond the group table.
         let mut m = mask;
         while m != 0 {
@@ -509,27 +622,29 @@ impl PortOracle {
             }
             m &= m - 1;
         }
-        for slot in self.slots.iter() {
+        // A slot sharing no group with the mask adds no overlap.
+        for slot in self.slots.iter().filter(|s| s.mask & mask != 0) {
             let overlap: u32 = slot
+                .counts
                 .iter()
                 .filter(|(g, _)| mask & (1 << *g) != 0)
                 .map(|&(_, c)| c)
                 .sum();
             ports = ports.max(overlap);
         }
-        self.cache.insert(mask, ports);
         ports
     }
 
     /// Feeds the deduplicated conflict-slot table into an instance
     /// fingerprint (see [`alloc_key`]). Per-group port
     /// minimums are hashed with the groups themselves — only accessed
-    /// groups ever enter a mask.
+    /// groups ever enter a mask. The slot masks are derived from the
+    /// counts, so they are not hashed.
     fn hash_slots(&self, h: &mut StableHasher) {
         h.write_u64(self.slots.len() as u64);
-        for slot in self.slots.iter() {
-            h.write_u64(slot.len() as u64);
-            for &(g, c) in slot {
+        for slot in &self.slots {
+            h.write_u64(slot.counts.len() as u64);
+            for &(g, c) in &slot.counts {
                 h.write_u64(g as u64);
                 h.write_u64(u64::from(c));
             }
@@ -637,7 +752,7 @@ pub fn assign_with_stats_cached(
     check_cost_weights(options.area_weight, options.power_weight)?;
     let traffic = group_traffic(spec);
     let time_s = spec.real_time_seconds();
-    let mut oracle = PortOracle::new(spec, scbd);
+    let oracle = PortOracle::new(spec, scbd);
     let mut stats = AllocStats::default();
 
     let (off_groups, on_groups) = split_accessed_groups(spec, &traffic)?;
@@ -669,7 +784,7 @@ pub fn assign_with_stats_cached(
     let off_memories = assign_off_chip(
         spec,
         &traffic,
-        &mut oracle,
+        &oracle,
         lib,
         &off_groups,
         time_s,
@@ -704,16 +819,7 @@ pub fn assign_with_stats_cached(
             None => (1..=on_groups.len()).collect(),
         };
         let best = sweep_on_chip(
-            spec,
-            &traffic,
-            &mut oracle,
-            lib,
-            &on_groups,
-            &counts,
-            time_s,
-            options,
-            workers,
-            &mut stats,
+            spec, &traffic, &oracle, lib, &on_groups, &counts, time_s, options, workers, &mut stats,
         );
         let (_, mut memories) = best.ok_or_else(|| ExploreError::NoFeasibleAssignment {
             reason: match options.on_chip_memories {
@@ -911,7 +1017,7 @@ fn off_chip_symmetry(
         oracle
             .slots
             .iter()
-            .any(|slot| slot.iter().any(|&(idx, _)| idx == g.index()))
+            .any(|slot| slot.counts.iter().any(|&(idx, _)| idx == g.index()))
     };
     let key = |g: BasicGroupId| {
         let info = spec.group(g);
@@ -932,12 +1038,12 @@ fn off_chip_symmetry(
     sym
 }
 
-/// Per-worker lazy block pricer: each worker owns a clone of the port
-/// oracle plus its own price memo, so pricing needs no synchronization.
+/// Per-worker lazy block pricer: each worker shares the read-only port
+/// oracle and owns its price memo, so pricing needs no synchronization.
 #[derive(Clone)]
 struct OffChipPricer<'a> {
     ctx: &'a OffChipCtx<'a>,
-    oracle: PortOracle,
+    oracle: &'a PortOracle,
     cache: BTreeMap<u64, Option<f64>>,
 }
 
@@ -1197,12 +1303,11 @@ impl<'a> SubtreeSearch for OffChipFan<'a> {
     }
 
     fn merge_state(&self, main: &mut OffChipPricer<'a>, worker: OffChipPricer<'a>) {
-        // Prices and port requirements are pure functions of the
-        // instance, so worker-discovered entries are bit-identical to
-        // what the serial pricer would compute — merging them back only
-        // completes the memo (and hence the persisted block catalog).
+        // Prices are pure functions of the instance, so
+        // worker-discovered entries are bit-identical to what the serial
+        // pricer would compute — merging them back only completes the
+        // memo (and hence the persisted block catalog).
         main.cache.extend(worker.cache);
-        main.oracle.cache.extend(worker.oracle.cache);
     }
 }
 
@@ -1407,7 +1512,7 @@ fn off_chip_expand(
 fn assign_off_chip(
     spec: &AppSpec,
     traffic: &[Traffic],
-    oracle: &mut PortOracle,
+    oracle: &PortOracle,
     lib: &MemLibrary,
     groups: &[BasicGroupId],
     time_s: f64,
@@ -1456,7 +1561,7 @@ fn assign_off_chip(
     };
     let mut pricer = OffChipPricer {
         ctx: &ctx,
-        oracle: oracle.clone(),
+        oracle,
         cache: BTreeMap::new(),
     };
 
@@ -1625,7 +1730,7 @@ pub fn off_chip_exhaustive_reference(
     };
     let mut pricer = OffChipPricer {
         ctx: &ctx,
-        oracle,
+        oracle: &oracle,
         cache: BTreeMap::new(),
     };
     struct Scan<'a, 'b> {
@@ -1681,7 +1786,34 @@ pub fn off_chip_exhaustive_reference(
     Ok((mems, partitions))
 }
 
-/// Cost of one on-chip memory holding `members`.
+/// Words, width and cost of one on-chip memory holding `members` with
+/// `ports` ports — the one copy of the on-chip pricing formula, behind
+/// both the search's memoized scalars and [`on_chip_memory`]. The
+/// access fold runs in `members` order.
+fn on_chip_price(
+    spec: &AppSpec,
+    traffic: &[Traffic],
+    lib: &MemLibrary,
+    members: &[BasicGroupId],
+    ports: u32,
+    time_s: f64,
+) -> (u64, u32, CostBreakdown) {
+    let words: u64 = members.iter().map(|&g| spec.group(g).words()).sum();
+    let width = members
+        .iter()
+        .map(|&g| spec.group(g).bitwidth())
+        .max()
+        // memx-lint: allow(no-panic-paths) — callers only price non-empty bins (the canonical partition never opens an empty one).
+        .expect("memory not empty");
+    let module = OnChipSpec::new(words, width, ports);
+    let area = lib.on_chip().area_mm2(&module);
+    let energy = lib.on_chip().energy_pj(&module);
+    let accesses: f64 = members.iter().map(|&g| traffic[g.index()].total()).sum();
+    let mw = energy * accesses / time_s / 1e9;
+    (words, width, CostBreakdown::new(area, mw, 0.0))
+}
+
+/// One on-chip memory holding `members`.
 fn on_chip_memory(
     spec: &AppSpec,
     traffic: &[Traffic],
@@ -1690,25 +1822,14 @@ fn on_chip_memory(
     ports: u32,
     time_s: f64,
 ) -> MemoryInstance {
-    let words: u64 = members.iter().map(|&g| spec.group(g).words()).sum();
-    let width = members
-        .iter()
-        .map(|&g| spec.group(g).bitwidth())
-        .max()
-        // memx-lint: allow(no-panic-paths) — callers only build memories for non-empty bins (the canonical partition never opens an empty one).
-        .expect("memory not empty");
-    let module = OnChipSpec::new(words, width, ports);
-    let area = lib.on_chip().area_mm2(&module);
-    let energy = lib.on_chip().energy_pj(&module);
-    let accesses: f64 = members.iter().map(|&g| traffic[g.index()].total()).sum();
-    let mw = energy * accesses / time_s / 1e9;
+    let (words, width, cost) = on_chip_price(spec, traffic, lib, members, ports, time_s);
     MemoryInstance {
         groups: members.to_vec(),
         words,
         width,
         ports,
         kind: MemoryKind::OnChip,
-        cost: CostBreakdown::new(area, mw, 0.0),
+        cost,
     }
 }
 
@@ -1791,7 +1912,7 @@ impl SuffixBound {
         options: &AllocOptions,
         time_s: f64,
         order: &[BasicGroupId],
-        oracle: &mut PortOracle,
+        oracle: &PortOracle,
         kind: BoundKind,
     ) -> SuffixBound {
         let n = order.len();
@@ -1910,6 +2031,7 @@ impl SuffixBound {
 struct OnChipSweep<'a> {
     spec: &'a AppSpec,
     traffic: &'a [Traffic],
+    oracle: &'a PortOracle,
     lib: &'a MemLibrary,
     options: &'a AllocOptions,
     time_s: f64,
@@ -1926,7 +2048,7 @@ impl<'a> OnChipSweep<'a> {
         groups: &[BasicGroupId],
         time_s: f64,
         options: &'a AllocOptions,
-        oracle: &mut PortOracle,
+        oracle: &'a PortOracle,
     ) -> Self {
         // Hardest-first ordering: most-accessed groups first.
         let mut order: Vec<BasicGroupId> = groups.to_vec();
@@ -1949,12 +2071,24 @@ impl<'a> OnChipSweep<'a> {
         OnChipSweep {
             spec,
             traffic,
+            oracle,
             lib,
             options,
             time_s,
             order,
             bound,
         }
+    }
+
+    /// The groups of a bin mask in `order` sequence — the sequence in
+    /// which the search fills every bin, so the member order (and with
+    /// it every float fold over the members) is a function of the mask.
+    fn members(&self, mask: u64) -> Vec<BasicGroupId> {
+        self.order
+            .iter()
+            .copied()
+            .filter(|g| mask & (1 << g.index()) != 0)
+            .collect()
     }
 }
 
@@ -1978,7 +2112,7 @@ fn on_chip_scalar(mems: &[MemoryInstance], options: &AllocOptions) -> f64 {
 fn sweep_on_chip(
     spec: &AppSpec,
     traffic: &[Traffic],
-    oracle: &mut PortOracle,
+    oracle: &PortOracle,
     lib: &MemLibrary,
     groups: &[BasicGroupId],
     counts: &[usize],
@@ -2010,8 +2144,7 @@ fn sweep_on_chip(
         }
     }
     // Seed phase: the whole pool works on the most promising size.
-    let (seed_mems, seed_nodes, seed_updates) =
-        assign_on_chip(&sweep, oracle, counts[seed_pos], workers);
+    let (seed_mems, seed_nodes, seed_updates) = assign_on_chip(&sweep, counts[seed_pos], workers);
     let shared = Incumbent::new(
         seed_mems
             .as_deref()
@@ -2033,8 +2166,7 @@ fn sweep_on_chip(
             // change the result regardless of thread timing.
             return (None, 0u64, 0u64, true);
         }
-        let mut worker_oracle = oracle.clone();
-        let (mems, nodes, updates) = assign_on_chip(&sweep, &mut worker_oracle, k, inner_workers);
+        let (mems, nodes, updates) = assign_on_chip(&sweep, k, inner_workers);
         if let Some(m) = &mems {
             shared.publish_min(on_chip_scalar(m, options));
         }
@@ -2069,6 +2201,12 @@ fn sweep_on_chip(
     best
 }
 
+/// Per-worker state of the on-chip search: each memory's scalar cost
+/// by group mask, `None` for a mask over
+/// [`AllocOptions::max_on_chip_ports`]. The values are pure functions
+/// of the mask within one sweep, so cloning and merging only warm it.
+type ScalarMemo = MaskMemo<Option<f64>>;
+
 /// Shared, read-only context of one on-chip branch-and-bound run.
 struct SearchCtx<'a> {
     sweep: &'a OnChipSweep<'a>,
@@ -2076,26 +2214,40 @@ struct SearchCtx<'a> {
 }
 
 impl SearchCtx<'_> {
-    /// Scalar cost of one memory holding `members`, or `None` when its
-    /// port requirement exceeds the module generator's limit.
-    fn memory_scalar(&self, oracle: &mut PortOracle, members: &[BasicGroupId]) -> Option<f64> {
-        let mask: u64 = members.iter().map(|g| 1u64 << g.index()).sum();
-        let ports = oracle.required(mask);
-        if ports > self.sweep.options.max_on_chip_ports {
-            return None;
+    /// Scalar cost of one memory holding the groups in `mask`, or
+    /// `None` when its port requirement exceeds the module generator's
+    /// limit — priced once per mask (see "Memoized pricing" in the
+    /// module docs).
+    fn memory_scalar(&self, memo: &mut ScalarMemo, mask: u64) -> Option<f64> {
+        if let Some(scalar) = memo.get(mask) {
+            debug_assert_eq!(
+                scalar.map(f64::to_bits),
+                self.price(mask).map(f64::to_bits),
+                "memoized on-chip scalar drifted from a fresh price"
+            );
+            return scalar;
         }
-        let mem = on_chip_memory(
-            self.sweep.spec,
-            self.sweep.traffic,
-            self.sweep.lib,
-            members,
-            ports,
-            self.sweep.time_s,
-        );
-        Some(mem.cost.scalar(
-            self.sweep.options.area_weight,
-            self.sweep.options.power_weight,
-        ))
+        let scalar = self.price(mask);
+        memo.insert(mask, scalar);
+        scalar
+    }
+
+    /// [`SearchCtx::memory_scalar`]'s miss path: the scalar from
+    /// [`on_chip_price`], without building a [`MemoryInstance`].
+    fn price(&self, mask: u64) -> Option<f64> {
+        let sweep = self.sweep;
+        let ports = sweep.oracle.required(mask);
+        (ports <= sweep.options.max_on_chip_ports).then(|| {
+            let (_, _, cost) = on_chip_price(
+                sweep.spec,
+                sweep.traffic,
+                sweep.lib,
+                &sweep.members(mask),
+                ports,
+                sweep.time_s,
+            );
+            cost.scalar(sweep.options.area_weight, sweep.options.power_weight)
+        })
     }
 
     fn order(&self) -> &[BasicGroupId] {
@@ -2115,10 +2267,11 @@ impl SearchCtx<'_> {
     }
 }
 
-/// A partial canonical assignment of the first `depth` groups.
+/// A partial canonical assignment of the first `depth` groups, one
+/// group mask per memory.
 #[derive(Clone)]
 struct Prefix {
-    bins: Vec<Vec<BasicGroupId>>,
+    bins: Vec<u64>,
     bin_scalars: Vec<f64>,
     acc: f64,
     depth: usize,
@@ -2129,7 +2282,7 @@ struct Prefix {
 struct Dfs<'a> {
     ctx: &'a SearchCtx<'a>,
     best_scalar: f64,
-    best: Option<Vec<Vec<BasicGroupId>>>,
+    best: Option<Vec<u64>>,
     nodes: u64,
     node_limit: u64,
     /// Memories still to open (`k − bins.len()`, saturating),
@@ -2142,9 +2295,9 @@ struct Dfs<'a> {
 impl Dfs<'_> {
     fn recurse(
         &mut self,
-        oracle: &mut PortOracle,
+        memo: &mut ScalarMemo,
         i: usize,
-        bins: &mut Vec<Vec<BasicGroupId>>,
+        bins: &mut Vec<u64>,
         bin_scalars: &mut Vec<f64>,
         acc: f64,
     ) {
@@ -2172,31 +2325,32 @@ impl Dfs<'_> {
             }
             return;
         }
-        let g = self.ctx.order()[i];
+        let bit = 1u64 << self.ctx.order()[i].index();
         // Try existing memories.
         for b in 0..bins.len() {
-            bins[b].push(g);
-            if let Some(new_scalar) = self.ctx.memory_scalar(oracle, &bins[b]) {
+            let old_mask = bins[b];
+            if let Some(new_scalar) = self.ctx.memory_scalar(memo, old_mask | bit) {
                 let old = bin_scalars[b];
                 let acc2 = acc - old + new_scalar;
+                bins[b] = old_mask | bit;
                 bin_scalars[b] = new_scalar;
-                self.recurse(oracle, i + 1, bins, bin_scalars, acc2);
+                self.recurse(memo, i + 1, bins, bin_scalars, acc2);
+                bins[b] = old_mask;
                 bin_scalars[b] = old;
             }
-            bins[b].pop();
         }
         // Open a new memory (canonical: only one way).
         if bins.len() < self.ctx.k {
-            bins.push(vec![g]);
-            if let Some(scalar) = self.ctx.memory_scalar(oracle, &bins[bins.len() - 1]) {
+            if let Some(scalar) = self.ctx.memory_scalar(memo, bit) {
+                bins.push(bit);
                 bin_scalars.push(scalar);
                 self.to_open = self.to_open.saturating_sub(1);
                 self.updates += 1;
-                self.recurse(oracle, i + 1, bins, bin_scalars, acc + scalar);
+                self.recurse(memo, i + 1, bins, bin_scalars, acc + scalar);
                 self.to_open += 1;
                 bin_scalars.pop();
+                bins.pop();
             }
-            bins.pop();
         }
     }
 }
@@ -2205,7 +2359,7 @@ impl Dfs<'_> {
 /// depth-first candidate order, so the resulting prefix sequence is the
 /// serial DFS visiting order) until at least [`TARGET_SUBTREES`]
 /// prefixes exist or every group is assigned.
-fn expand_prefixes(ctx: &SearchCtx<'_>, oracle: &mut PortOracle, greedy_bound: f64) -> Vec<Prefix> {
+fn expand_prefixes(ctx: &SearchCtx<'_>, memo: &mut ScalarMemo, greedy_bound: f64) -> Vec<Prefix> {
     let n = ctx.order().len();
     let mut level = vec![Prefix {
         bins: Vec::new(),
@@ -2220,9 +2374,9 @@ fn expand_prefixes(ctx: &SearchCtx<'_>, oracle: &mut PortOracle, greedy_bound: f
                 next.push(p.clone());
                 continue;
             }
-            let g = ctx.order()[p.depth];
+            let bit = 1u64 << ctx.order()[p.depth].index();
             let remaining_after = n - p.depth - 1;
-            let mut push_child = |bins: Vec<Vec<BasicGroupId>>, bin_scalars: Vec<f64>, acc: f64| {
+            let mut push_child = |bins: Vec<u64>, bin_scalars: Vec<f64>, acc: f64| {
                 if bins.len() + remaining_after < ctx.k {
                     return; // cannot open enough memories any more
                 }
@@ -2239,9 +2393,9 @@ fn expand_prefixes(ctx: &SearchCtx<'_>, oracle: &mut PortOracle, greedy_bound: f
             // Children in DFS candidate order: existing bins, then a
             // fresh bin.
             for b in 0..p.bins.len() {
-                let mut bins = p.bins.clone();
-                bins[b].push(g);
-                if let Some(scalar) = ctx.memory_scalar(oracle, &bins[b]) {
+                if let Some(scalar) = ctx.memory_scalar(memo, p.bins[b] | bit) {
+                    let mut bins = p.bins.clone();
+                    bins[b] |= bit;
                     let mut bin_scalars = p.bin_scalars.clone();
                     let acc = p.acc - bin_scalars[b] + scalar;
                     bin_scalars[b] = scalar;
@@ -2249,9 +2403,9 @@ fn expand_prefixes(ctx: &SearchCtx<'_>, oracle: &mut PortOracle, greedy_bound: f
                 }
             }
             if p.bins.len() < ctx.k {
-                if let Some(scalar) = ctx.memory_scalar(oracle, std::slice::from_ref(&g)) {
+                if let Some(scalar) = ctx.memory_scalar(memo, bit) {
                     let mut bins = p.bins.clone();
-                    bins.push(vec![g]);
+                    bins.push(bit);
                     let mut bin_scalars = p.bin_scalars.clone();
                     bin_scalars.push(scalar);
                     push_child(bins, bin_scalars, p.acc + scalar);
@@ -2271,13 +2425,13 @@ fn expand_prefixes(ctx: &SearchCtx<'_>, oracle: &mut PortOracle, greedy_bound: f
 /// exploration consumed.
 struct SubtreeResult {
     val: f64,
-    bins: Option<Vec<Vec<BasicGroupId>>>,
+    bins: Option<Vec<u64>>,
     nodes: u64,
     updates: u64,
 }
 
 /// The on-chip solver's instantiation of the generic fan harness
-/// ([`crate::fan`]): per-worker state is the memoizing port oracle, and
+/// ([`crate::fan`]): per-worker state is the scalar memo, and
 /// subtree skipping uses the default strict comparison (a subtree
 /// holding a solution equal to the final minimum is never skipped).
 struct OnChipFan<'a> {
@@ -2286,16 +2440,10 @@ struct OnChipFan<'a> {
 
 impl SubtreeSearch for OnChipFan<'_> {
     type Prefix = Prefix;
-    type State = PortOracle;
+    type State = ScalarMemo;
     type Outcome = SubtreeResult;
 
-    fn explore(
-        &self,
-        oracle: &mut PortOracle,
-        p: &Prefix,
-        outer: f64,
-        budget: u64,
-    ) -> SubtreeResult {
+    fn explore(&self, memo: &mut ScalarMemo, p: &Prefix, outer: f64, budget: u64) -> SubtreeResult {
         let ctx = self.ctx;
         if p.depth == ctx.order().len() {
             // The whole tree fit into the prefix expansion: the
@@ -2326,7 +2474,7 @@ impl SubtreeSearch for OnChipFan<'_> {
         };
         let mut bins = p.bins.clone();
         let mut bin_scalars = p.bin_scalars.clone();
-        dfs.recurse(oracle, p.depth, &mut bins, &mut bin_scalars, p.acc);
+        dfs.recurse(memo, p.depth, &mut bins, &mut bin_scalars, p.acc);
         SubtreeResult {
             val: if dfs.best.is_some() {
                 dfs.best_scalar
@@ -2339,8 +2487,8 @@ impl SubtreeSearch for OnChipFan<'_> {
         }
     }
 
-    fn clone_state(&self, oracle: &PortOracle) -> PortOracle {
-        oracle.clone()
+    fn clone_state(&self, memo: &ScalarMemo) -> ScalarMemo {
+        memo.clone()
     }
 
     fn skipped(&self) -> SubtreeResult {
@@ -2360,11 +2508,11 @@ impl SubtreeSearch for OnChipFan<'_> {
         r.nodes
     }
 
-    fn merge_state(&self, main: &mut PortOracle, worker: PortOracle) {
-        // Port requirements are pure functions of the slot table, so
-        // worker-memoized entries are bit-identical to the serial
-        // oracle's; merging only warms the memo.
-        main.cache.extend(worker.cache);
+    fn merge_state(&self, main: &mut ScalarMemo, worker: ScalarMemo) {
+        // Scalars are pure functions of the mask, so worker-memoized
+        // entries are bit-identical to the serial ones; merging only
+        // warms the memo.
+        main.merge(worker);
     }
 }
 
@@ -2376,7 +2524,6 @@ impl SubtreeSearch for OnChipFan<'_> {
 /// the counters are deterministic for `workers <= 1`.
 fn assign_on_chip(
     sweep: &OnChipSweep<'_>,
-    oracle: &mut PortOracle,
     k: usize,
     workers: usize,
 ) -> (Option<Vec<MemoryInstance>>, u64, u64) {
@@ -2384,20 +2531,25 @@ fn assign_on_chip(
         return (None, 0, 0);
     }
     let ctx = SearchCtx { sweep, k };
+    // One memo per size: re-pricing masks another size already priced
+    // costs little next to the search, and a fresh table holds only the
+    // masks this size reaches, which bounds peak memory.
+    let mut memo = ScalarMemo::new();
     let options = sweep.options;
 
     // Greedy incumbent: the first k groups open their own memories, the
     // rest join wherever the scalar cost grows least. Seeds the bound so
     // the node limit degrades to "greedy + partial improvement" instead
     // of "no answer".
-    let greedy: Option<(f64, Vec<Vec<BasicGroupId>>)> = {
-        let mut bins: Vec<Vec<BasicGroupId>> = Vec::new();
+    let greedy: Option<(f64, Vec<u64>)> = {
+        let mut bins: Vec<u64> = Vec::new();
         let mut bin_scalars: Vec<f64> = Vec::new();
         let mut feasible = true;
-        for (i, &g) in ctx.order().iter().enumerate() {
+        for (i, g) in ctx.order().iter().enumerate() {
+            let bit = 1u64 << g.index();
             if i < k {
-                bins.push(vec![g]);
-                match ctx.memory_scalar(oracle, &bins[i]) {
+                bins.push(bit);
+                match ctx.memory_scalar(&mut memo, bit) {
                     Some(s) => bin_scalars.push(s),
                     None => {
                         feasible = false;
@@ -2408,18 +2560,16 @@ fn assign_on_chip(
             }
             let mut choice: Option<(usize, f64, f64)> = None;
             for b in 0..bins.len() {
-                bins[b].push(g);
-                if let Some(s) = ctx.memory_scalar(oracle, &bins[b]) {
+                if let Some(s) = ctx.memory_scalar(&mut memo, bins[b] | bit) {
                     let delta = s - bin_scalars[b];
                     if choice.map(|(_, d, _)| delta < d).unwrap_or(true) {
                         choice = Some((b, delta, s));
                     }
                 }
-                bins[b].pop();
             }
             match choice {
                 Some((b, _, s)) => {
-                    bins[b].push(g);
+                    bins[b] |= bit;
                     bin_scalars[b] = s;
                 }
                 None => {
@@ -2433,7 +2583,7 @@ fn assign_on_chip(
     let greedy_val = greedy.as_ref().map(|(v, _)| *v).unwrap_or(f64::INFINITY);
 
     // Split the canonical tree into deterministic subtrees.
-    let prefixes = expand_prefixes(&ctx, oracle, greedy_val);
+    let prefixes = expand_prefixes(&ctx, &mut memo, greedy_val);
 
     // Root lower bound of each subtree, computed once (serially, so it
     // is deterministic).
@@ -2450,7 +2600,7 @@ fn assign_on_chip(
         &OnChipFan { ctx: &ctx },
         &prefixes,
         &bounds,
-        oracle,
+        &mut memo,
         greedy_val,
         options.node_limit,
         workers,
@@ -2482,15 +2632,13 @@ fn assign_on_chip(
     };
     let mems = bins
         .iter()
-        .map(|members| {
-            let mask: u64 = members.iter().map(|g| 1u64 << g.index()).sum();
-            let ports = oracle.required(mask);
+        .map(|&mask| {
             on_chip_memory(
                 sweep.spec,
                 sweep.traffic,
                 sweep.lib,
-                members,
-                ports,
+                &sweep.members(mask),
+                sweep.oracle.required(mask),
                 sweep.time_s,
             )
         })
@@ -2520,7 +2668,7 @@ pub fn root_lower_bounds(
     check_cost_weights(options.area_weight, options.power_weight)?;
     let traffic = group_traffic(spec);
     let time_s = spec.real_time_seconds();
-    let mut oracle = PortOracle::new(spec, scbd);
+    let oracle = PortOracle::new(spec, scbd);
     let (_, on_groups) = split_accessed_groups(spec, &traffic)?;
     if on_groups.is_empty() || k == 0 || k as usize > on_groups.len() {
         return Ok(None);
@@ -2532,11 +2680,10 @@ pub fn root_lower_bounds(
             .total_cmp(&traffic[a.index()].total())
             .then(a.cmp(b))
     });
-    let build = |kind, oracle: &mut PortOracle| {
-        SuffixBound::build(spec, &traffic, lib, options, time_s, &order, oracle, kind)
-    };
-    let solo = build(BoundKind::Solo, &mut oracle);
-    let pairwise = build(BoundKind::Pairwise, &mut oracle);
+    let build =
+        |kind| SuffixBound::build(spec, &traffic, lib, options, time_s, &order, &oracle, kind);
+    let solo = build(BoundKind::Solo);
+    let pairwise = build(BoundKind::Pairwise);
     let k = k as usize;
     Ok(Some((solo.bound(0, 0, k), pairwise.bound(0, 0, k))))
 }
@@ -2604,6 +2751,132 @@ mod tests {
         // Tight enough that the frame reads overlap each other.
         b.cycle_budget(400_000).real_time_seconds(0.05);
         b.build().unwrap()
+    }
+
+    #[test]
+    fn mask_memo_entries_survive_growth() {
+        let mut memo = MaskMemo::<u32>::new();
+        let masks: Vec<u64> = (1..=1000u64).map(|i| i * 0x0001_0003).collect();
+        for (i, &m) in masks.iter().enumerate() {
+            memo.insert(m, i as u32);
+        }
+        // 1,000 entries at most half load: five doublings from 64 slots.
+        assert_eq!(memo.slots.len(), 2048);
+        for (i, &m) in masks.iter().enumerate() {
+            assert_eq!(memo.get(m), Some(i as u32), "mask {m:#x}");
+        }
+        assert_eq!(memo.get(0x0001_0003 * 1001), None);
+    }
+
+    #[test]
+    fn mask_memo_resolves_long_collision_chains() {
+        // Half a fresh table's worth of masks sharing one home slot:
+        // every insert and lookup walks the same probe chain.
+        let mut memo = MaskMemo::<u32>::new();
+        let home = memo.home(1);
+        let masks: Vec<u64> = (1u64..)
+            .filter(|&m| memo.home(m) == home)
+            .take(MaskMemo::<u32>::INITIAL_SLOTS / 2 - 1)
+            .collect();
+        for &m in &masks {
+            memo.insert(m, m as u32);
+        }
+        assert_eq!(memo.slots.len(), 64, "below half load: no growth");
+        for &m in &masks {
+            assert_eq!(memo.get(m), Some(m as u32));
+        }
+        let absent = (masks[masks.len() - 1] + 1..)
+            .find(|&m| memo.home(m) == home)
+            .unwrap();
+        assert_eq!(memo.get(absent), None);
+    }
+
+    #[test]
+    fn mask_memo_handles_the_top_bit() {
+        let mut memo = MaskMemo::<Option<f64>>::new();
+        let top = 1u64 << 63;
+        memo.insert(top, Some(2.5));
+        memo.insert(top | 1, None);
+        memo.insert(u64::MAX, Some(-0.0));
+        assert_eq!(memo.get(top), Some(Some(2.5)));
+        assert_eq!(memo.get(top | 1), Some(None));
+        assert_eq!(
+            memo.get(u64::MAX).flatten().map(f64::to_bits),
+            Some((-0.0f64).to_bits())
+        );
+        assert_eq!(memo.get(top | 2), None);
+    }
+
+    #[test]
+    fn mask_memo_merge_never_overwrites() {
+        let mut main = MaskMemo::<u32>::new();
+        main.insert(0b11, 1);
+        main.insert(0b101, 2);
+        main.insert(0b11, 99); // insert keeps the existing entry too
+        let mut worker = MaskMemo::<u32>::new();
+        worker.insert(0b11, 7);
+        for m in 8..200u64 {
+            worker.insert(m, 3);
+        }
+        main.merge(worker);
+        assert_eq!(main.get(0b11), Some(1));
+        assert_eq!(main.get(0b101), Some(2));
+        assert!((8..200u64).all(|m| main.get(m) == Some(3)));
+        assert_eq!(main.len, 194);
+    }
+
+    #[test]
+    fn memoized_scalars_match_fresh_memory_prices() {
+        // Every non-empty subset of the on-chip groups, members in the
+        // sweep's `order` sequence (the only sequence the search ever
+        // builds): the memo's miss and hit both return the bits of
+        // `on_chip_memory(..).cost.scalar(..)`.
+        let mut over_limit = false;
+        for (budget, max_on_chip_ports) in [(2_000_000, 4), (500_000, 4), (500_000, 0)] {
+            let spec = mixed_spec(budget);
+            let s = scbd::distribute(&spec).unwrap();
+            let lib = lib();
+            let options = AllocOptions {
+                max_on_chip_ports,
+                ..AllocOptions::default()
+            };
+            let traffic = group_traffic(&spec);
+            let time_s = spec.real_time_seconds();
+            let (_, on_groups) = split_accessed_groups(&spec, &traffic).unwrap();
+            let oracle = PortOracle::new(&spec, &s);
+            let sweep =
+                OnChipSweep::build(&spec, &traffic, &lib, &on_groups, time_s, &options, &oracle);
+            let ctx = SearchCtx {
+                sweep: &sweep,
+                k: 1,
+            };
+            let mut memo = MaskMemo::new();
+            let n = sweep.order.len();
+            assert_eq!(n, 3);
+            for subset in 1u32..(1 << n) {
+                let members: Vec<BasicGroupId> = (0..n)
+                    .filter(|&i| subset & (1 << i) != 0)
+                    .map(|i| sweep.order[i])
+                    .collect();
+                let mask = members.iter().fold(0, |m, g| m | 1u64 << g.index());
+                let ports = oracle.required(mask);
+                let fresh = (ports <= max_on_chip_ports).then(|| {
+                    on_chip_memory(&spec, &traffic, &lib, &members, ports, time_s)
+                        .cost
+                        .scalar(options.area_weight, options.power_weight)
+                });
+                over_limit |= fresh.is_none();
+                for _ in 0..2 {
+                    let memoized = ctx.memory_scalar(&mut memo, mask);
+                    assert_eq!(
+                        memoized.map(f64::to_bits),
+                        fresh.map(f64::to_bits),
+                        "budget {budget}, subset {subset:#b}"
+                    );
+                }
+            }
+        }
+        assert!(over_limit, "the over-the-port-limit `None` was exercised");
     }
 
     #[test]

@@ -20,7 +20,8 @@ use std::path::PathBuf;
 use memx_bench::experiments::{
     self, paper_allocations, paper_extras, table1, table2, table3, table4,
 };
-use memx_core::alloc::{BoundKind, MemoryKind, Organization};
+use memx_core::alloc::{alloc_cache_key, AllocStats, BoundKind, MemoryKind, Organization};
+use memx_core::cache::CacheKey;
 use memx_core::explore::CostReport;
 use memx_ir::AppSpec;
 use memx_memlib::CostBreakdown;
@@ -227,5 +228,58 @@ fn pairwise_bound_prunes_the_table4_workload() {
     assert!(
         pairwise < solo,
         "pairwise bound must prune harder: {pairwise} vs {solo} nodes"
+    );
+}
+
+#[test]
+fn serial_search_effort_is_pinned() {
+    // Exact branch-and-bound node totals of the serial table 3 and
+    // table 4 runs. Pricing changes (memos, cheaper lookups) must leave
+    // them unchanged — a speedup has to come from cheaper nodes, not
+    // fewer. A change that alters the search itself updates these
+    // literals on purpose.
+    let serial = |node_limit: Option<u64>| {
+        let mut ctx = experiments::paper_context();
+        if let Some(limit) = node_limit {
+            ctx.alloc.node_limit = limit;
+        }
+        ctx.alloc.workers = 1; // serial: parallel node counters are timing-dependent
+        ctx.workers = 1;
+        ctx
+    };
+    let totals = |stats: Vec<AllocStats>| {
+        stats.iter().fold((0, 0), |(on, off), s| {
+            (on + s.bb_nodes, off + s.off_chip_bb_nodes)
+        })
+    };
+
+    let rows = table4(&serial(Some(100_000_000)), &paper_allocations()).expect("table 4 runs");
+    let t4 = totals(rows.iter().map(|r| r.report.alloc_stats).collect());
+    assert_eq!(t4, (743_330, 5), "table 4 (unexhausted) on-/off-chip nodes");
+
+    let rows = table3(&serial(None), &paper_extras()).expect("table 3 runs");
+    let t3 = totals(rows.iter().map(|r| r.report.alloc_stats).collect());
+    assert_eq!(t3, (7_357_610, 4), "table 3 on-/off-chip nodes");
+}
+
+#[test]
+fn table4_allocation_cache_key_is_pinned() {
+    // The allocation cache key of the table 4 instance. Its content
+    // hash covers the groups and the port-conflict slot table, so a
+    // change to how the solver stores slots must still hash them the
+    // same way, or every persisted allocation entry goes stale.
+    let ctx = experiments::paper_context();
+    let spec = experiments::best_hierarchy_spec(&ctx).expect("hierarchy applies");
+    let budget = experiments::CYCLE_BUDGET - 3_133_568; // table 4's working point
+    let schedule = memx_core::scbd::distribute_with_budget(&spec, budget).expect("schedulable");
+    let key = alloc_cache_key(&spec, &schedule, &ctx.lib, &ctx.alloc).expect("splittable");
+    assert_eq!(
+        key,
+        CacheKey {
+            content_hash: 0xed46_36f4_bf86_37a7,
+            budget: 2_000_000,
+            model_fingerprint: 0x5e1b_27a9_a2f1_afed,
+            knobs_fingerprint: 0xa170_b3d0_64db_d86d,
+        }
     );
 }
