@@ -181,8 +181,7 @@ pub fn print_alloc_stat_lines_from_stats(stats: impl IntoIterator<Item = AllocSt
 
 /// Prints a binary's persistent-cache counters on stderr, one line per
 /// entry kind — the `[scbd cache: H hits / M misses]` /
-/// `[alloc cache: H hits / M misses]` / `[block cache: H hits / M
-/// misses]` lines `scripts/bench_baseline.sh`,
+/// `[alloc cache: H hits / M misses]` lines `scripts/bench_baseline.sh`,
 /// `scripts/cache_roundtrip.sh` and `scripts/sharded_sweep.sh` grep.
 /// One owner for the label format, same rationale as
 /// [`print_alloc_stat_lines`]: warm/cold gates must be able to tell a
@@ -199,10 +198,6 @@ pub fn print_cache_stat_lines(cache: Option<&EvalCache>) {
     eprintln!(
         "[alloc cache: {} hits / {} misses]",
         stats.alloc_hits, stats.alloc_misses
-    );
-    eprintln!(
-        "[block cache: {} hits / {} misses]",
-        stats.blocks_hits, stats.blocks_misses
     );
 }
 

@@ -136,11 +136,15 @@
 //! the access sum, runs over the members in the sweep's hardest-first
 //! `order`, which is the sequence in which the search fills every bin,
 //! so the member sequence and hence the fold's bits are fixed by the
-//! mask. Worker memos hold the same values, so merging them back
-//! changes no result; debug builds re-price every memo hit and assert
-//! bit equality. Port counts get no memo of their own: the oracle runs
+//! mask. Debug builds re-price every memo hit and assert bit
+//! equality. Port counts get no memo of their own: the oracle runs
 //! only on a price miss, and it skips every conflict slot that shares
 //! no group with the mask.
+//!
+//! The off-chip pricer memoizes block powers in the same kind of memo.
+//! Every memo lives for one search: each fan worker starts from a clone
+//! of the seed phase's memo and drops it when it finishes, and nothing
+//! is merged back or persisted — the cache stores only results.
 //!
 //! # Off-chip node budget
 //!
@@ -219,8 +223,6 @@ use std::collections::BTreeMap;
 // memx-lint: fingerprinted(ALLOC_ALGO_REVISION) — result-affecting changes
 // to the allocation solver (bounds, tie-breaks, traversal order, greedy
 // seed, float accumulation) must bump the revision in `core::cache`.
-// memx-lint: fingerprinted(OFF_CHIP_BLOCKS_ALGO_REVISION) — changes to how
-// the pricer costs a group subset must bump the revision in `core::cache`.
 
 use memx_ir::hash::StableHasher;
 use memx_ir::{AppSpec, BasicGroupId, Placement};
@@ -695,28 +697,6 @@ fn alloc_key(
     cache::CacheKey::alloc(h.finish(), lib, options)
 }
 
-/// Stable fingerprint of one off-chip pricing instance — like
-/// [`alloc_key`]'s instance hash restricted to the off-chip groups, so
-/// the priced block catalog survives option changes (different node
-/// limits, bounds, weights) that re-key the allocation entry itself.
-fn off_chip_blocks_fingerprint(
-    spec: &AppSpec,
-    traffic: &[Traffic],
-    oracle: &PortOracle,
-    groups: &[BasicGroupId],
-    time_s: f64,
-) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_str("off-chip-blocks-instance");
-    h.write_f64(time_s);
-    h.write_u64(groups.len() as u64);
-    for &g in groups {
-        hash_group(&mut h, spec, traffic, g);
-    }
-    oracle.hash_slots(&mut h);
-    h.finish()
-}
-
 /// Allocates memories and assigns every accessed basic group, reporting
 /// the search-effort counters of the run (see [`AllocStats`]).
 ///
@@ -727,9 +707,8 @@ fn off_chip_blocks_fingerprint(
 /// whole branch-and-bound, replaying the stored [`Organization`] *and*
 /// [`AllocStats`] bit-identically (so node-count telemetry reports what
 /// the stored solve actually cost, not a free lunch). On a miss the
-/// solver runs as usual — pre-seeding its off-chip block pricer from a
-/// cached catalog when one exists — and the solution is stored for the
-/// next process. Errors are never cached. Pass `None` for a plain
+/// solver runs as usual and the solution is stored for the next
+/// process. Errors are never cached. Pass `None` for a plain
 /// solve.
 ///
 /// # Errors
@@ -791,7 +770,6 @@ pub fn assign_with_stats_cached(
         options,
         workers,
         &mut stats,
-        cache,
     )?;
 
     // --- On-chip side: branch-and-bound per allocation size. ------------
@@ -1040,11 +1018,12 @@ fn off_chip_symmetry(
 
 /// Per-worker lazy block pricer: each worker shares the read-only port
 /// oracle and owns its price memo, so pricing needs no synchronization.
+/// The memo lives for one partition search.
 #[derive(Clone)]
 struct OffChipPricer<'a> {
     ctx: &'a OffChipCtx<'a>,
     oracle: &'a PortOracle,
-    cache: BTreeMap<u64, Option<f64>>,
+    memo: ScalarMemo,
 }
 
 impl OffChipPricer<'_> {
@@ -1054,7 +1033,7 @@ impl OffChipPricer<'_> {
     /// the catalog is checked non-empty up front and ports are pre-gated,
     /// the only ways selection can fail.
     fn price(&mut self, mask: u64) -> Option<f64> {
-        if let Some(&p) = self.cache.get(&mask) {
+        if let Some(p) = self.memo.get(mask) {
             return p;
         }
         let ports = self.oracle.required(self.ctx.global_mask(mask));
@@ -1069,7 +1048,7 @@ impl OffChipPricer<'_> {
                 .expect("catalog non-empty and ports pre-gated");
             sel.static_mw() + sel.energy_pj_per_access() * rate_energy / 1e9
         });
-        self.cache.insert(mask, mw);
+        self.memo.insert(mask, mw);
         mw
     }
 
@@ -1301,14 +1280,6 @@ impl<'a> SubtreeSearch for OffChipFan<'a> {
     fn skip_above(&self, lb: f64, bound: f64) -> bool {
         above_with_slack(lb, bound)
     }
-
-    fn merge_state(&self, main: &mut OffChipPricer<'a>, worker: OffChipPricer<'a>) {
-        // Prices are pure functions of the instance, so
-        // worker-discovered entries are bit-identical to what the serial
-        // pricer would compute — merging them back only completes the
-        // memo (and hence the persisted block catalog).
-        main.cache.extend(worker.cache);
-    }
 }
 
 /// Depth-first exploration of one off-chip subtree with a private node
@@ -1519,7 +1490,6 @@ fn assign_off_chip(
     options: &AllocOptions,
     workers: usize,
     stats: &mut AllocStats,
-    cache: Option<&EvalCache>,
 ) -> Result<Vec<MemoryInstance>, ExploreError> {
     if groups.is_empty() {
         return Ok(Vec::new());
@@ -1562,27 +1532,8 @@ fn assign_off_chip(
     let mut pricer = OffChipPricer {
         ctx: &ctx,
         oracle,
-        cache: BTreeMap::new(),
+        memo: ScalarMemo::new(),
     };
-
-    // Pre-seed the block pricer from a cached catalog when one exists.
-    // Prices are pure functions of (groups, slots, library), so a seeded
-    // memo changes nothing about the search — the same values would be
-    // recomputed lazily — and worker pricers clone the serial pricer
-    // *after* seeding, so every subtree benefits. Any subset superset
-    // of what this run will query is fine; extra masks are ignored.
-    let blocks_key = cache.map(|_| {
-        let instance = off_chip_blocks_fingerprint(spec, traffic, oracle, groups, time_s);
-        cache::CacheKey::off_chip_blocks(instance, lib)
-    });
-    let mut blocks_from_cache = false;
-    if let (Some(cache), Some(key)) = (cache, blocks_key.as_ref()) {
-        if let Some(entries) = cache.load_off_chip_blocks(key) {
-            cache.note_blocks_hit();
-            blocks_from_cache = true;
-            pricer.cache.extend(entries);
-        }
-    }
 
     // Greedy incumbent: only ever a pruning bound, never a result — the
     // reduction starts empty, so the canonical-first optimum the
@@ -1658,20 +1609,6 @@ fn assign_off_chip(
             reason: "off-chip groups overlap beyond dual-port bandwidth".to_owned(),
         });
     };
-    // Persist the pricer's memo for the next process — including the
-    // masks worker pricer clones discovered inside their subtrees,
-    // which [`OffChipFan::merge_state`] folded back after the fan (so
-    // a warm run re-seeds the *full* catalog, not just the serial
-    // pre-seed). Only on a miss: on a hit the entry already exists.
-    if let (Some(cache), Some(key)) = (cache, blocks_key.as_ref()) {
-        if !blocks_from_cache {
-            let mut entries: Vec<(u64, Option<f64>)> =
-                pricer.cache.iter().map(|(&m, &p)| (m, p)).collect();
-            entries.sort_unstable_by_key(|e| e.0);
-            cache.note_blocks_miss();
-            cache.store_off_chip_blocks(key, &entries);
-        }
-    }
     Ok(blocks
         .iter()
         .map(|&mask| ctx.build_memory(&mut pricer, mask))
@@ -1731,7 +1668,7 @@ pub fn off_chip_exhaustive_reference(
     let mut pricer = OffChipPricer {
         ctx: &ctx,
         oracle: &oracle,
-        cache: BTreeMap::new(),
+        memo: ScalarMemo::new(),
     };
     struct Scan<'a, 'b> {
         pricer: &'a mut OffChipPricer<'b>,
@@ -2201,10 +2138,11 @@ fn sweep_on_chip(
     best
 }
 
-/// Per-worker state of the on-chip search: each memory's scalar cost
-/// by group mask, `None` for a mask over
-/// [`AllocOptions::max_on_chip_ports`]. The values are pure functions
-/// of the mask within one sweep, so cloning and merging only warm it.
+/// Per-worker price memo of one search: the on-chip scalar cost or the
+/// off-chip block power by group mask, `None` for an infeasible mask
+/// (over [`AllocOptions::max_on_chip_ports`] on chip, over two ports
+/// off chip). The values are pure functions of the mask within one
+/// search, so a clone only warms a worker.
 type ScalarMemo = MaskMemo<Option<f64>>;
 
 /// Shared, read-only context of one on-chip branch-and-bound run.
@@ -2506,13 +2444,6 @@ impl SubtreeSearch for OnChipFan<'_> {
 
     fn nodes(&self, r: &SubtreeResult) -> u64 {
         r.nodes
-    }
-
-    fn merge_state(&self, main: &mut ScalarMemo, worker: ScalarMemo) {
-        // Scalars are pure functions of the mask, so worker-memoized
-        // entries are bit-identical to the serial ones; merging only
-        // warms the memo.
-        main.merge(worker);
     }
 }
 
@@ -3841,70 +3772,6 @@ mod tests {
             assert_eq!(err, ExploreError::BadOffChipPricing { time_s });
             assert!(err.to_string().contains("real-time window"), "{err}");
         }
-    }
-
-    #[test]
-    fn worker_priced_masks_are_persisted_in_the_block_catalog() {
-        // A parallel run prices many masks inside *worker* pricer
-        // clones; `OffChipFan::merge_state` must fold those memos back
-        // before `store_off_chip_blocks`, so a cold parallel run
-        // persists the same full catalog as a cold serial run (and a
-        // warm run re-seeds all of it). Dominance is disabled so the
-        // plateau fans real pricing work into the worker subtrees.
-        let spec = plateau_off_chip_spec(8);
-        let s = scbd::distribute(&spec).unwrap();
-        let options = |workers: usize| AllocOptions {
-            workers,
-            off_chip_dominance: false,
-            ..AllocOptions::default()
-        };
-        let blocks_key = || {
-            let traffic = group_traffic(&spec);
-            let oracle = PortOracle::new(&spec, &s);
-            let (groups, _) = split_accessed_groups(&spec, &traffic).unwrap();
-            let instance = off_chip_blocks_fingerprint(
-                &spec,
-                &traffic,
-                &oracle,
-                &groups,
-                spec.real_time_seconds(),
-            );
-            cache::CacheKey::off_chip_blocks(instance, &lib())
-        };
-        let tmp =
-            std::env::temp_dir().join(format!("memx-worker-catalog-merge-{}", std::process::id()));
-        let cold_catalog = |label: &str, workers: usize| {
-            let dir = tmp.join(label);
-            let cache = EvalCache::open(&dir).unwrap();
-            let (org, _) =
-                assign_with_stats_cached(&spec, &s, &lib(), &options(workers), Some(&cache))
-                    .unwrap();
-            assert!(org.off_chip_count() >= 1);
-            assert_eq!(cache.stats().blocks_misses, 1, "{label} run must be cold");
-            cache
-                .load_off_chip_blocks(&blocks_key())
-                .expect("cold run stores the catalog")
-        };
-        let serial = cold_catalog("serial", 1);
-        let parallel = cold_catalog("parallel", 8);
-        assert!(serial.len() > 1, "plateau must price several masks");
-        assert_eq!(
-            serial, parallel,
-            "worker-discovered masks must be merged back before the store"
-        );
-        // Warm re-run against the parallel store, under a different
-        // (keyed) node budget so the *allocation* entry misses and the
-        // solver actually runs: the catalog is served from disk and
-        // nothing is re-stored.
-        let cache = EvalCache::open(tmp.join("parallel")).unwrap();
-        let warm = AllocOptions {
-            node_limit: AllocOptions::default().node_limit + 1,
-            ..options(8)
-        };
-        assign_with_stats_cached(&spec, &s, &lib(), &warm, Some(&cache)).unwrap();
-        assert_eq!(cache.stats().blocks_hits, 1);
-        assert_eq!(cache.stats().blocks_misses, 0);
-        std::fs::remove_dir_all(&tmp).ok();
     }
 
     #[test]

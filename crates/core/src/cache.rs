@@ -9,7 +9,7 @@
 //!
 //! # Entry kinds
 //!
-//! The store holds three kinds of entries, each in its own
+//! The store holds two kinds of entries, each in its own
 //! subdirectory with its own `kind` discriminant in the record header:
 //!
 //! * **SCBD schedules** ([`distribute_cached`]) — the storage-cycle
@@ -18,12 +18,10 @@
 //!   [`crate::alloc::Organization`] *and* the [`crate::alloc::AllocStats`]
 //!   of one solved allocation instance, so a hit short-circuits the
 //!   branch-and-bound entirely while `[alloc nodes: N]` telemetry
-//!   replays exactly what the stored solve cost,
-//! * **priced off-chip block catalogs**
-//!   ([`EvalCache::load_off_chip_blocks`]) — the lazy block-pricer memo
-//!   of one off-chip partition search, so even an allocation *miss*
-//!   (e.g. under a different node limit) starts with every subset it
-//!   will price already priced.
+//!   replays exactly what the stored solve cost.
+//!
+//! The store holds results only. The solvers' price memos live for one
+//! search and are never persisted.
 //!
 //! # Keying
 //!
@@ -122,9 +120,6 @@ const KIND_SCBD: u32 = 1;
 /// Entry kind tag for full allocation solutions
 /// ([`Organization`] + [`AllocStats`]).
 const KIND_ALLOC: u32 = 2;
-/// Entry kind tag for priced off-chip block catalogs (the block-pricer
-/// memo of one off-chip partition search).
-const KIND_OFF_CHIP_BLOCKS: u32 = 3;
 /// Revision of the SCBD algorithm itself. Folded into the knobs
 /// fingerprint: an algorithm change produces different schedules, so it
 /// must miss all old entries.
@@ -155,11 +150,6 @@ const SCBD_ALGO_REVISION: u64 = 1;
 /// Revision 2: symmetric-group dominance + incremental bounds (results
 /// bit-identical, node counts and stats layout changed).
 const ALLOC_ALGO_REVISION: u64 = 2;
-/// Revision of the off-chip block pricer. Folded into the knobs
-/// fingerprint of [`KIND_OFF_CHIP_BLOCKS`] entries; bump on any change
-/// to how a group subset is priced (port gating, device ganging,
-/// the power formula's accumulation order).
-const OFF_CHIP_BLOCKS_ALGO_REVISION: u64 = 1;
 
 /// Stable fingerprint of everything *besides the spec and budget* that
 /// determines a storage-cycle-budget distribution: the access-timing
@@ -184,8 +174,8 @@ pub fn scbd_model_fingerprint() -> u64 {
 /// off-chip part catalog (every datasheet row), the dual-port
 /// calibration factors and the burst energy discount. Recalibrating any
 /// of them (or swapping the catalog) changes this fingerprint and
-/// thereby the [`CacheKey`] of every allocation and block-catalog
-/// entry — stale entries are never even looked at.
+/// thereby the [`CacheKey`] of every allocation entry — stale entries
+/// are never even looked at.
 pub fn alloc_model_fingerprint(lib: &MemLibrary) -> u64 {
     let mut h = StableHasher::new();
     h.write_str("alloc-model");
@@ -224,10 +214,10 @@ pub fn alloc_model_fingerprint(lib: &MemLibrary) -> u64 {
 pub struct CacheKey {
     /// Content hash of the cached computation's input: the spec's
     /// [`AppSpec::content_hash`] for SCBD entries, the allocation
-    /// instance fingerprint for allocation and block-catalog entries.
+    /// instance fingerprint for allocation entries.
     pub content_hash: u64,
     /// The resource budget: cycle budget for SCBD entries, node limit
-    /// for allocation entries, unused (0) for block catalogs.
+    /// for allocation entries.
     pub budget: u64,
     /// [`scbd_model_fingerprint`] or [`alloc_model_fingerprint`] at
     /// write time.
@@ -292,24 +282,6 @@ impl CacheKey {
         }
     }
 
-    /// The key under which the priced block catalog of the off-chip
-    /// instance fingerprinted as `instance` is stored. Block prices are
-    /// pure functions of the groups, the conflict slots and the
-    /// technology library — no [`AllocOptions`] field influences them —
-    /// so the budget slot is unused and the knobs fingerprint carries
-    /// only the pricer revision.
-    pub fn off_chip_blocks(instance: u64, lib: &MemLibrary) -> Self {
-        let mut knobs = StableHasher::new();
-        knobs.write_str("off-chip-blocks-knobs");
-        knobs.write_u64(OFF_CHIP_BLOCKS_ALGO_REVISION);
-        CacheKey {
-            content_hash: instance,
-            budget: 0,
-            model_fingerprint: alloc_model_fingerprint(lib),
-            knobs_fingerprint: knobs.finish(),
-        }
-    }
-
     /// The entry filename (16 hex digits) this key addresses.
     fn file_name(&self, kind: u32) -> String {
         let mut h = StableHasher::new();
@@ -341,19 +313,12 @@ pub struct CacheStats {
     pub alloc_misses: u64,
     /// Allocation entry writes that failed.
     pub alloc_write_failures: u64,
-    /// Priced off-chip block catalogs served from disk (pre-seeding the
-    /// block pricer of an allocation recompute).
-    pub blocks_hits: u64,
-    /// Priced block catalogs recomputed.
-    pub blocks_misses: u64,
-    /// Block-catalog entry writes that failed.
-    pub blocks_write_failures: u64,
 }
 
 impl CacheStats {
     /// Failed entry writes summed over every entry kind.
     pub fn write_failures(&self) -> u64 {
-        self.scbd_write_failures + self.alloc_write_failures + self.blocks_write_failures
+        self.scbd_write_failures + self.alloc_write_failures
     }
 }
 
@@ -403,7 +368,6 @@ pub struct EvalCache {
     root: PathBuf,
     scbd: KindCounters,
     alloc: KindCounters,
-    blocks: KindCounters,
     tmp_seq: AtomicU64,
 }
 
@@ -439,7 +403,7 @@ impl EvalCache {
     /// after `open` degrades silently (see the module docs).
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, CacheError> {
         let root = dir.as_ref().to_path_buf();
-        for kind_dir in ["scbd", "alloc", "offblocks"] {
+        for kind_dir in ["scbd", "alloc"] {
             let dir = root.join(kind_dir);
             fs::create_dir_all(&dir).map_err(|source| CacheError::Io {
                 path: dir.clone(),
@@ -450,7 +414,6 @@ impl EvalCache {
             root,
             scbd: KindCounters::default(),
             alloc: KindCounters::default(),
-            blocks: KindCounters::default(),
             tmp_seq: AtomicU64::new(0),
         })
     }
@@ -469,9 +432,6 @@ impl EvalCache {
             alloc_hits: self.alloc.hits.load(Ordering::Relaxed),
             alloc_misses: self.alloc.misses.load(Ordering::Relaxed),
             alloc_write_failures: self.alloc.write_failures.load(Ordering::Relaxed),
-            blocks_hits: self.blocks.hits.load(Ordering::Relaxed),
-            blocks_misses: self.blocks.misses.load(Ordering::Relaxed),
-            blocks_write_failures: self.blocks.write_failures.load(Ordering::Relaxed),
         }
     }
 
@@ -521,27 +481,6 @@ impl EvalCache {
         }
     }
 
-    /// Reads the priced off-chip block catalog addressed by `key`: the
-    /// `(subset mask, price)` memo a previous partition search built,
-    /// used to pre-seed the block pricer. `None` on absence or any
-    /// corruption.
-    pub fn load_off_chip_blocks(&self, key: &CacheKey) -> Option<Vec<(u64, Option<f64>)>> {
-        let bytes = fs::read(self.blocks_path(key)).ok()?;
-        decode_blocks(decode_entry(&bytes, key, KIND_OFF_CHIP_BLOCKS)?)
-    }
-
-    /// Publishes a priced block catalog under `key`. Failures tick
-    /// [`CacheStats::blocks_write_failures`] and are otherwise ignored.
-    pub fn store_off_chip_blocks(&self, key: &CacheKey, entries: &[(u64, Option<f64>)]) {
-        let bytes = encode_entry(key, KIND_OFF_CHIP_BLOCKS, encode_blocks(entries));
-        if self
-            .write_atomically(&self.blocks_path(key), &bytes)
-            .is_none()
-        {
-            self.blocks.write_failure();
-        }
-    }
-
     /// Ticks the allocation hit counter (policy layer lives in
     /// `crate::alloc`, which owns the load/compute/store decision).
     pub(crate) fn note_alloc_hit(&self) {
@@ -553,28 +492,12 @@ impl EvalCache {
         self.alloc.miss();
     }
 
-    /// Ticks the block-catalog hit counter.
-    pub(crate) fn note_blocks_hit(&self) {
-        self.blocks.hit();
-    }
-
-    /// Ticks the block-catalog miss counter.
-    pub(crate) fn note_blocks_miss(&self) {
-        self.blocks.miss();
-    }
-
     fn scbd_path(&self, key: &CacheKey) -> PathBuf {
         self.root.join("scbd").join(key.file_name(KIND_SCBD))
     }
 
     fn alloc_path(&self, key: &CacheKey) -> PathBuf {
         self.root.join("alloc").join(key.file_name(KIND_ALLOC))
-    }
-
-    fn blocks_path(&self, key: &CacheKey) -> PathBuf {
-        self.root
-            .join("offblocks")
-            .join(key.file_name(KIND_OFF_CHIP_BLOCKS))
     }
 
     /// Tempfile-then-rename publication; `None` on any I/O failure.
@@ -873,45 +796,6 @@ fn decode_alloc(payload: &[u8]) -> Option<(Organization, AllocStats)> {
         return None;
     }
     Some((Organization { memories, cost }, stats))
-}
-
-/// Encoded bytes per block-catalog record: mask + presence flag (the
-/// optional price only follows a `1` flag).
-const MIN_BLOCK_BYTES: usize = 8 + 1;
-
-fn encode_blocks(entries: &[(u64, Option<f64>)]) -> Vec<u8> {
-    let mut out = Vec::new();
-    push_u64(&mut out, entries.len() as u64);
-    for &(mask, price) in entries {
-        push_u64(&mut out, mask);
-        match price {
-            None => out.push(0),
-            Some(p) => {
-                out.push(1);
-                push_f64(&mut out, p);
-            }
-        }
-    }
-    out
-}
-
-fn decode_blocks(payload: &[u8]) -> Option<Vec<(u64, Option<f64>)>> {
-    let mut r = Reader::new(payload);
-    let count = r.count_prefix(MIN_BLOCK_BYTES)?;
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let mask = r.u64()?;
-        let price = match r.u8()? {
-            0 => None,
-            1 => Some(r.f64()?),
-            _ => return None,
-        };
-        entries.push((mask, price));
-    }
-    if !r.at_end() {
-        return None;
-    }
-    Some(entries)
 }
 
 fn push_u64(out: &mut Vec<u8>, v: u64) {
@@ -1306,7 +1190,7 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
-    // --- allocation and block-catalog entry kinds ------------------------
+    // --- allocation entry kind -------------------------------------------
 
     fn alloc_solution() -> (Organization, AllocStats, memx_memlib::MemLibrary) {
         let spec = spec();
@@ -1465,11 +1349,12 @@ mod tests {
         // A re-store repairs the entry.
         cache.store_alloc(&key, &org, &stats);
         assert!(cache.load_alloc(&key).is_some());
-        // A kind mixup — a block-catalog entry copied over an allocation
-        // entry's filename — is rejected by the kind discriminant.
-        let bkey = CacheKey::off_chip_blocks(11, &lib);
-        cache.store_off_chip_blocks(&bkey, &[(1, Some(2.0))]);
-        fs::copy(cache.blocks_path(&bkey), &path).unwrap();
+        // A kind mixup — an SCBD entry copied over an allocation entry's
+        // filename — is rejected by the kind discriminant.
+        let skey = CacheKey::scbd(&spec(), 10_000);
+        let schedule = scbd::distribute_with_budget(&spec(), 10_000).unwrap();
+        cache.store_scbd(&skey, &schedule);
+        fs::copy(cache.scbd_path(&skey), &path).unwrap();
         assert!(cache.load_alloc(&key).is_none());
         fs::remove_dir_all(&dir).ok();
     }
@@ -1490,38 +1375,6 @@ mod tests {
                 "claimed count {claimed} must be a miss"
             );
         }
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn blocks_round_trip_preserves_price_bits() {
-        let dir = tempdir("blocks-roundtrip");
-        let cache = EvalCache::open(&dir).unwrap();
-        let (_, _, lib) = alloc_solution();
-        let key = CacheKey::off_chip_blocks(42, &lib);
-        // Include infeasible (None) prices and awkward float patterns:
-        // the memo must round trip bit for bit.
-        let entries: Vec<(u64, Option<f64>)> = vec![
-            (0b01, Some(3.5)),
-            (0b10, None),
-            (0b11, Some(-0.0)),
-            (u64::MAX, Some(f64::MIN_POSITIVE)),
-        ];
-        assert!(cache.load_off_chip_blocks(&key).is_none());
-        cache.store_off_chip_blocks(&key, &entries);
-        let loaded = cache.load_off_chip_blocks(&key).unwrap();
-        assert_eq!(entries.len(), loaded.len());
-        for ((m, p), (lm, lp)) in entries.iter().zip(&loaded) {
-            assert_eq!(m, lm);
-            assert_eq!(p.map(f64::to_bits), lp.map(f64::to_bits));
-        }
-        // Corrupt presence flag: a miss, not a misparse.
-        let path = cache.blocks_path(&key);
-        let mut bytes = fs::read(&path).unwrap();
-        let flag_pos = bytes.len() - 8 /* checksum */ - 8 /* price */ - 1;
-        bytes[flag_pos] = 7;
-        fs::write(&path, &bytes).unwrap();
-        assert!(cache.load_off_chip_blocks(&key).is_none());
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -70,10 +70,7 @@
 //!   written by the claiming worker and read only after
 //!   [`std::thread::scope`] joins every worker — the scope join provides
 //!   the happens-before edge, so the slots need no atomic ordering at
-//!   all. **Worker-state hand-back** (for
-//!   [`SubtreeSearch::merge_state`]) rides the same edge: each scoped
-//!   thread returns its state through its join handle, and the merge
-//!   runs on the calling thread after every join.
+//!   all.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -170,7 +167,8 @@ impl ClaimQueue {
 pub trait SubtreeSearch: Sync {
     /// One canonical prefix subtree.
     type Prefix: Sync;
-    /// Per-worker scratch state (memo caches); cloned per worker thread.
+    /// Per-worker scratch state (memo caches); cloned per worker thread
+    /// and dropped when the worker finishes.
     type State: Send;
     /// The outcome of exploring (or skipping) one subtree.
     type Outcome: Send;
@@ -209,16 +207,6 @@ pub trait SubtreeSearch: Sync {
     fn skip_above(&self, lb: f64, bound: f64) -> bool {
         lb > bound
     }
-
-    /// Folds one worker's final scratch state back into the main state
-    /// after the fan completes (called once per worker, in spawn order,
-    /// on the calling thread — the scope join provides the
-    /// happens-before edge, so no extra synchronization is needed).
-    /// Since states are memo caches of pure functions, merged entries
-    /// are bit-identical to what the main state would have computed;
-    /// merging must not change any other behavior. The default keeps
-    /// worker state private (discarded), which is always sound.
-    fn merge_state(&self, _main: &mut Self::State, _worker: Self::State) {}
 }
 
 /// Runs the deterministic subtree fan-out (see the module docs): seed
@@ -315,32 +303,13 @@ pub fn fan_subtrees<T: SubtreeSearch>(
         // calling thread, in canonical claim order, spawning nothing.
         run(state);
     } else {
-        // Workers return their final scratch state so memo entries
-        // discovered inside subtrees (block prices, port requirements)
-        // survive the fan — [`SubtreeSearch::merge_state`] folds them
-        // back in spawn order on this thread, after every join.
-        let returned = thread::scope(|scope| {
-            let handles: Vec<_> = (0..fan_workers)
-                .map(|_| {
-                    let mut worker_state = search.clone_state(state);
-                    note_thread_spawn();
-                    scope.spawn(move || {
-                        run(&mut worker_state);
-                        worker_state
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    // memx-lint: allow(no-panic-paths) — a scoped worker panicking would abort the scope anyway; joining merely forwards it.
-                    h.join().expect("fan worker panicked")
-                })
-                .collect::<Vec<T::State>>()
+        thread::scope(|scope| {
+            for _ in 0..fan_workers {
+                let mut worker_state = search.clone_state(state);
+                note_thread_spawn();
+                scope.spawn(move || run(&mut worker_state));
+            }
         });
-        for worker_state in returned {
-            search.merge_state(state, worker_state);
-        }
     }
 
     // Hand the outcomes back in canonical prefix order (the seed in its

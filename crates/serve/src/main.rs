@@ -210,7 +210,7 @@ fn self_drive(cli: &Cli) -> Result<(), String> {
 /// Sums the hit counts out of the `x-memx-cache-*` trailers
 /// (`"<hits> hits / <misses> misses"`).
 fn cache_hits(response: &client::Response) -> u64 {
-    ["scbd", "alloc", "blocks"]
+    ["scbd", "alloc"]
         .iter()
         .filter_map(|kind| response.field(&format!("x-memx-cache-{kind}")))
         .filter_map(|v| v.split_whitespace().next()?.parse::<u64>().ok())

@@ -341,7 +341,7 @@ fn dispatch(shared: &Shared, request: &Request, writer: &mut TcpStream) -> Resul
 /// the shared counters across the request. Under concurrent load a
 /// sibling request's hits can land in the window, so the deltas are
 /// attribution-approximate; the `/v1/stats` totals are exact.
-fn cache_delta(before: &CacheStats, after: &CacheStats) -> [(&'static str, String); 3] {
+fn cache_delta(before: &CacheStats, after: &CacheStats) -> [(&'static str, String); 2] {
     let line = |hits_after: u64, hits_before: u64, miss_after: u64, miss_before: u64| {
         format!(
             "{} hits / {} misses",
@@ -366,15 +366,6 @@ fn cache_delta(before: &CacheStats, after: &CacheStats) -> [(&'static str, Strin
                 before.alloc_hits,
                 after.alloc_misses,
                 before.alloc_misses,
-            ),
-        ),
-        (
-            "x-memx-cache-blocks",
-            line(
-                after.blocks_hits,
-                before.blocks_hits,
-                after.blocks_misses,
-                before.blocks_misses,
             ),
         ),
     ]
@@ -420,12 +411,7 @@ fn serve_evaluate(shared: &Shared, request: &Request, writer: &mut TcpStream) ->
         .eval_cache(shared.cache.clone())
         .build();
     let points = decoded.design_points();
-    let trailer_names = [
-        "x-memx-rows",
-        "x-memx-cache-scbd",
-        "x-memx-cache-alloc",
-        "x-memx-cache-blocks",
-    ];
+    let trailer_names = ["x-memx-rows", "x-memx-cache-scbd", "x-memx-cache-alloc"];
     let mut sink = match ChunkedWriter::start(&mut *writer, 200, &trailer_names) {
         Ok(sink) => sink,
         Err(_) => {
@@ -514,14 +500,6 @@ fn stats_body(shared: &Shared) -> String {
                         cache.alloc_hits,
                         cache.alloc_misses,
                         cache.alloc_write_failures,
-                    ),
-                ),
-                (
-                    "blocks".to_string(),
-                    kind(
-                        cache.blocks_hits,
-                        cache.blocks_misses,
-                        cache.blocks_write_failures,
                     ),
                 ),
             ]),

@@ -507,7 +507,7 @@ impl Config {
                 (s("crates/core/src/scbd.rs"), vec![s("SCBD_ALGO_REVISION")]),
                 (
                     s("crates/core/src/alloc.rs"),
-                    vec![s("ALLOC_ALGO_REVISION"), s("OFF_CHIP_BLOCKS_ALGO_REVISION")],
+                    vec![s("ALLOC_ALGO_REVISION")],
                 ),
                 (
                     s("crates/memlib/src/timing.rs"),

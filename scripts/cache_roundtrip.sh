@@ -15,11 +15,11 @@
 #      reference, and every binary that schedules must report *nonzero
 #      cache hits* on BOTH per-kind stat lines — schedules ([scbd
 #      cache: ...]) and allocation solutions ([alloc cache: ...]);
-#   3. corrupt EVERY entry on disk — all three kinds: scbd/, alloc/,
-#      offblocks/ — alternating truncation and garbage, and re-run the
-#      full suite: the binaries must degrade to recompute — exit 0,
-#      stdout unchanged — repairing the entries in passing, which a
-#      final per-kind hit-check proves.
+#   3. corrupt EVERY entry on disk — both kinds: scbd/ and alloc/ —
+#      alternating truncation and garbage, and re-run the full suite:
+#      the binaries must degrade to recompute — exit 0, stdout
+#      unchanged — repairing the entries in passing, which a final
+#      per-kind hit-check proves.
 #
 # MEMX_CACHE_DIR may be supplied by the caller (CI persists it across
 # workflow runs via actions/cache); otherwise a throwaway directory is
@@ -111,10 +111,7 @@ run_suite cached uncached
 
 # Pass 2: warm — byte-identity again, plus nonzero hits where it
 # counts, per entry kind: the schedule cache AND the allocation cache
-# must both serve every scheduling binary. (The block-catalog line is
-# deliberately not gated: a warm allocation hit short-circuits phase 2
-# before the pricer ever consults the block cache, so 0/0 is its
-# correct warm steady state.)
+# must both serve every scheduling binary.
 run_suite warm uncached
 for bin in "${SCHEDULING_BINARIES[@]}"; do
     hits=$(warm_hits "$outdir/$bin.warm.err")
@@ -130,17 +127,16 @@ for bin in "${SCHEDULING_BINARIES[@]}"; do
 done
 
 # Pass 3: corrupt EVERY entry of every kind (deterministic — every
-# schedule, allocation and block-catalog read in the next pass sees a
-# corrupt file), re-run the whole suite, and prove the entries were
+# schedule and allocation read in the next pass sees a corrupt file), re-run the whole suite, and prove the entries were
 # repaired in passing.
-for kind in scbd alloc offblocks; do
+for kind in scbd alloc; do
     kind_entries=("$MEMX_CACHE_DIR/$kind"/*.bin)
     if [ ! -e "${kind_entries[0]}" ]; then
         echo "cache-roundtrip: FAIL no $kind cache entries were written" >&2
         status=1
     fi
 done
-entries=("$MEMX_CACHE_DIR"/{scbd,alloc,offblocks}/*.bin)
+entries=("$MEMX_CACHE_DIR"/{scbd,alloc}/*.bin)
 if [ ! -e "${entries[0]}" ]; then
     echo "cache-roundtrip: FAIL no cache entries were written" >&2
     status=1

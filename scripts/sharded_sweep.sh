@@ -13,7 +13,7 @@
 #      stdout a sharded run must reproduce exactly;
 #   1. cold      — N background shards (shard s runs the binaries whose
 #      index satisfies index % N == s) against the shared store, filling
-#      scbd/alloc/offblocks entries concurrently (the atomic-rename
+#      scbd/alloc entries concurrently (the atomic-rename
 #      discipline is what makes one directory safe to share);
 #   2. warm      — same shards again: merged stdout must still match the
 #      reference, and every shard must report nonzero *allocation*-cache
