@@ -90,8 +90,6 @@ fn main() {
     let alloc = AllocOptions {
         node_limit,
         workers: knobs.workers,
-        bound: knobs.bound,
-        off_chip_dominance: knobs.dominance,
         ..AllocOptions::default()
     };
     let lib = memx_memlib::MemLibrary::default_07um();

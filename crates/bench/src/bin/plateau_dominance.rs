@@ -5,12 +5,12 @@
 //! alone cannot prune — and prints the proven-optimal organization plus
 //! the search-effort counters.
 //!
-//! `scripts/bench_baseline.sh` runs it twice (`MEMX_DOMINANCE` on/off)
-//! to record the dominance node cut that `scripts/bench_regression.sh`
-//! gates. Stdout is bit-identical for every worker count, bound and
-//! dominance setting (the rule only removes symmetric duplicates, never
-//! the canonical-first optimum), so the determinism matrix covers it
-//! like every other binary; only the stderr counters move.
+//! The symmetric-group dominance rule is what prunes here: it collapses
+//! the Bell-number tree to the nondecreasing choice vectors.
+//! `scripts/bench_baseline.sh` runs it once to record
+//! the node and cut counters. Stdout is bit-identical for every worker
+//! count, so the determinism matrix covers it like every other binary;
+//! only the stderr counters move.
 
 use memx_bench::experiments;
 use memx_core::alloc::{assign_with_stats_cached, AllocOptions, MemoryKind};
@@ -32,8 +32,6 @@ fn main() {
         node_limit: knobs
             .node_limit
             .unwrap_or_else(|| AllocOptions::default().node_limit),
-        bound: knobs.bound,
-        off_chip_dominance: knobs.dominance,
         ..AllocOptions::default()
     };
     let cache = knobs.cache;

@@ -55,10 +55,12 @@ pub const SMOKE_NODE_LIMIT: u64 = 200_000;
 /// the `memx-serve` daemon derives every option from the request body,
 /// never from ambient state.
 ///
-/// Exploration results are bit-identical across `workers`, `cache`,
-/// `dominance` and `bound` settings (each knob only trades wall-clock
-/// or search-effort counters, which is what `scripts/bench_baseline.sh`
-/// measures); `smoke` and `node_limit` trade fidelity for runtime.
+/// Exploration results are bit-identical across `workers` and `cache`
+/// settings (each only trades wall-clock or search-effort counters,
+/// which is what `scripts/bench_baseline.sh` measures); `smoke` and
+/// `node_limit` trade fidelity for runtime. The allocation search
+/// itself is not a knob: it always runs with the pairwise bound and the
+/// symmetric-group dominance rule.
 #[derive(Debug, Clone)]
 pub struct RunKnobs {
     /// Fast smoke-test mode (`MEMX_SMOKE` non-empty and not `0`, or a
@@ -73,39 +75,26 @@ pub struct RunKnobs {
     /// budgets both the on-chip searches (which degrade to their greedy
     /// incumbent on exhaustion) and the off-chip partition search
     /// (which instead raises the deterministic `TooManyOffChipGroups`
-    /// exhaustion signal). `scripts/bench_baseline.sh` raises it when
-    /// comparing the two lower bounds: node counts only measure pruning
-    /// when the search runs to exactness.
+    /// exhaustion signal). `scripts/bench_baseline.sh` raises it for
+    /// its node counts: they only measure pruning when the search runs
+    /// to exactness.
     pub node_limit: Option<u64>,
     /// Persistent evaluation cache (`MEMX_CACHE_DIR` names a directory
     /// carried across runs; unset or empty = no cache). An unusable
     /// directory prints a warning and degrades to uncached evaluation
     /// rather than failing the run.
     pub cache: Option<Arc<EvalCache>>,
-    /// Off-chip symmetric-group dominance rule (`MEMX_DOMINANCE=0`
-    /// disables it). The rule only removes symmetric duplicates, so the
-    /// returned organization is identical either way; only the node and
-    /// cut counters differ.
-    pub dominance: bool,
-    /// Branch-and-bound lower bound (`MEMX_BOUND=solo` falls back to
-    /// the original solo-1-port suffix bound). Both bounds are
-    /// admissible, so with an unexhausted budget the results are
-    /// identical; only the nodes-visited counters differ.
-    pub bound: memx_core::alloc::BoundKind,
 }
 
 impl Default for RunKnobs {
     /// The knobs every library entry point is equivalent to: full
-    /// fidelity, auto workers, default node budget, no cache, dominance
-    /// on, pairwise bound.
+    /// fidelity, auto workers, default node budget, no cache.
     fn default() -> Self {
         RunKnobs {
             smoke: false,
             workers: 0,
             node_limit: None,
             cache: None,
-            dominance: true,
-            bound: memx_core::alloc::BoundKind::default(),
         }
     }
 }
@@ -133,18 +122,11 @@ impl RunKnobs {
                     None
                 }
             });
-        let dominance = std::env::var("MEMX_DOMINANCE").ok().as_deref() != Some("0");
-        let bound = match std::env::var("MEMX_BOUND").ok().as_deref() {
-            Some("solo") => memx_core::alloc::BoundKind::Solo,
-            _ => memx_core::alloc::BoundKind::Pairwise,
-        };
         RunKnobs {
             smoke,
             workers,
             node_limit,
             cache,
-            dominance,
-            bound,
         }
     }
 }
@@ -266,8 +248,6 @@ pub fn context(knobs: RunKnobs) -> PaperContext {
             AllocOptions::default().node_limit
         }),
         workers: knobs.workers,
-        bound: knobs.bound,
-        off_chip_dominance: knobs.dominance,
         ..AllocOptions::default()
     };
     let frame = if knobs.smoke {
@@ -603,11 +583,8 @@ pub fn paper_allocations() -> Vec<u32> {
 
 /// Off-chip group count of the [`plateau_spec`] bench instance: big
 /// enough that the full Bell tree (~142 k nodes at 10 groups) dwarfs
-/// the dominance-collapsed tree (2^10 - 1 nodes), small enough that the
-/// dominance-*disabled* run still proves its optimum within the default
-/// node budget — so `scripts/bench_baseline.sh` can record both node
-/// counts from finished searches and `bench_regression.sh` can gate
-/// their ratio.
+/// the dominance-collapsed tree (512 nodes) the search visits,
+/// small enough to stay a sub-second bench fixture.
 pub const PLATEAU_GROUPS: usize = 10;
 
 /// A synthetic worst-case tie plateau for the off-chip partition

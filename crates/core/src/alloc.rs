@@ -62,8 +62,8 @@
 //! that are permutations of one another, every one priced bit-for-bit
 //! identically — the floor cannot separate them, so the search revisits
 //! each orbit once per permutation. The off-chip search collapses these
-//! orbits with a dominance rule over *adjacent symmetric groups*
-//! ([`AllocOptions::off_chip_dominance`]): groups `i-1` and `i` are
+//! orbits with a dominance rule over *adjacent symmetric groups*, which
+//! is always on: groups `i-1` and `i` are
 //! symmetric when their words, bitwidth, port minimum and weighted
 //! traffic are bitwise identical and neither appears in any
 //! port-conflict slot. For such a pair only assignments where `i`'s
@@ -158,22 +158,19 @@
 //!
 //! # Lower bounds
 //!
-//! Subtree skipping lives or dies by the suffix lower bound. Two are
-//! available ([`AllocOptions::bound`]):
-//!
-//! * [`BoundKind::Solo`] — each unassigned group contributes at least
-//!   the cell area and access energy of a private 1-port module (the
-//!   original, loose bound; kept as a measurable baseline);
-//! * [`BoundKind::Pairwise`] (default) — on top of the solo floor, each
-//!   group pays its minimum-port floor, and the pigeonhole principle
-//!   forces `remaining − free bins` of the unassigned groups to *join*
-//!   a non-empty memory: each such join costs at least the group's
-//!   cheapest precomputed **pairwise-conflict extra** (the width waste
-//!   and port/cycle-conflict penalty of co-assignment with its most
-//!   compatible partner). The bound is admissible — it never exceeds
-//!   the true optimal completion cost — so exact results are unchanged;
-//!   it only skips more of the tree (nodes visited are reported in
-//!   [`AllocStats`]).
+//! Subtree skipping lives or dies by the suffix lower bound, the
+//! **pairwise** bound: each unassigned group pays the cell area
+//! (banked, at its minimum port count) and access energy of a private
+//! module, every memory still to be opened pays the module overhead,
+//! and the pigeonhole principle forces `remaining − free bins` of the
+//! unassigned groups to *join* a non-empty memory: each such join costs
+//! at least the group's cheapest precomputed **pairwise-conflict
+//! extra** (the width waste and port/cycle-conflict penalty of
+//! co-assignment with its most compatible partner). The bound is
+//! admissible — it never exceeds the true optimal completion cost, for
+//! any technology library, since every constant is read from the active
+//! model — so it only decides how much of the tree is skipped (nodes
+//! visited are reported in [`AllocStats`]).
 //!
 //! # Parallel search
 //!
@@ -256,21 +253,11 @@ pub fn bell_number(n: usize) -> u64 {
     row[0]
 }
 
-/// Which suffix lower bound the on-chip branch-and-bound prunes with
-/// (see the module docs). Both bounds are admissible, so the *result*
-/// is identical; only the number of nodes visited differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BoundKind {
-    /// The original per-group solo-1-port floor. Loose; kept so pruning
-    /// gains of the pairwise bound stay measurable.
-    Solo,
-    /// Solo floor + per-group minimum-port floor + pairwise-conflict
-    /// extras for the merges the pigeonhole principle forces.
-    #[default]
-    Pairwise,
-}
-
-/// Options steering allocation and assignment.
+/// Options steering allocation and assignment: the problem (allocation
+/// size, cost weights, port ceiling) and the effort (node budget,
+/// workers). The search itself is fixed — the pairwise suffix bound and
+/// the symmetric-group dominance rule (see the module docs) — because
+/// neither changes a result proven optimal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AllocOptions {
     /// Exact number of on-chip memories to allocate; `None` sweeps all
@@ -289,13 +276,6 @@ pub struct AllocOptions {
     /// available core, `1` runs everything on the calling thread.
     /// Parallel and serial runs return bit-identical organizations.
     pub workers: usize,
-    /// Suffix lower bound used for branch-and-bound pruning.
-    pub bound: BoundKind,
-    /// Prune dominated assignments of adjacent symmetric off-chip
-    /// groups (see the module docs' soundness proof). The result is
-    /// bit-identical either way; disabling is a measurable baseline
-    /// for the node cut on tie plateaus.
-    pub off_chip_dominance: bool,
 }
 
 impl Default for AllocOptions {
@@ -307,14 +287,12 @@ impl Default for AllocOptions {
             max_on_chip_ports: 4,
             node_limit: 2_000_000,
             workers: 0,
-            bound: BoundKind::Pairwise,
-            off_chip_dominance: true,
         }
     }
 }
 
 /// Search-effort counters of one [`assign_with_stats_cached`] run, so
-/// pruning gains (e.g. of [`BoundKind::Pairwise`]) are measurable.
+/// the effort of the one allocation search is measurable.
 ///
 /// The counters are *not* part of the deterministic result: in parallel
 /// runs the atomic incumbent may skip different subtrees depending on
@@ -343,8 +321,8 @@ pub struct AllocStats {
     /// is the branch-and-bound's pruning gain.
     pub off_chip_exhaustive_partitions: u64,
     /// Off-chip branches suppressed by the symmetric-group dominance
-    /// rule ([`AllocOptions::off_chip_dominance`]): join candidates
-    /// below the previous twin's choice index that were never expanded.
+    /// rule (see the module docs): join candidates below the previous
+    /// twin's choice index that were never expanded.
     pub off_chip_dominance_cuts: u64,
     /// Assign/unassign delta applications to incrementally-maintained
     /// bound state, across both solvers (off-chip running committed
@@ -908,7 +886,7 @@ struct OffChipCtx<'a> {
     floor_suffix: Vec<f64>,
     /// `sym_prev[i]` — group `i` is symmetric to its predecessor
     /// `i-1` (see [`off_chip_symmetry`]), enabling the dominance rule
-    /// at depth `i`. All-false when dominance is disabled.
+    /// at depth `i`. All-false in the exhaustive reference.
     sym_prev: Vec<bool>,
 }
 
@@ -985,12 +963,8 @@ fn off_chip_symmetry(
     traffic: &[Traffic],
     oracle: &PortOracle,
     groups: &[BasicGroupId],
-    enabled: bool,
 ) -> Vec<bool> {
     let n = groups.len();
-    if !enabled || n == 0 {
-        return vec![false; n];
-    }
     let in_conflict_slot = |g: BasicGroupId| {
         oracle
             .slots
@@ -1527,7 +1501,7 @@ fn assign_off_chip(
         groups,
         time_s,
         floor_suffix,
-        sym_prev: off_chip_symmetry(spec, traffic, oracle, groups, options.off_chip_dominance),
+        sym_prev: off_chip_symmetry(spec, traffic, oracle, groups),
     };
     let mut pricer = OffChipPricer {
         ctx: &ctx,
@@ -1778,11 +1752,9 @@ fn on_chip_memory(
 /// least per-bit × own words × block width, and the energy model is
 /// monotone in words, width and ports.
 ///
-/// The [`BoundKind::Solo`] variant is the original loose floor (flat
-/// cell area, whatever the module looks like); [`BoundKind::Pairwise`]
-/// additionally mirrors the area model's banking penalty and per-port
-/// area factor, both monotone in the module parameters and therefore
-/// still admissible. All constants are read from the **active**
+/// The cell area also mirrors the area model's banking penalty and
+/// per-port area factor, both monotone in the module parameters and
+/// therefore still admissible. All constants are read from the **active**
 /// [`memx_memlib::OnChipModel`], so a custom technology library with
 /// cheaper cells keeps the bound admissible (and one with dearer cells
 /// prunes just as hard as the built-in model does).
@@ -1797,20 +1769,17 @@ fn group_floor(
     words: u64,
     width: u32,
     ports: u32,
-    kind: BoundKind,
 ) -> f64 {
     let model = lib.on_chip();
     let grp = spec.group(g);
     let module = OnChipSpec::new(words, width, ports);
     let energy = model.energy_pj(&module);
     let mut cells = model.area_per_bit_mm2() * grp.words() as f64 * f64::from(width);
-    if kind == BoundKind::Pairwise {
-        // The cell array of any module holding these words is banked at
-        // least this hard and pays at least this port area factor.
-        let bank = 1.0 + (words as f64 / model.bank_words()).min(2.0);
-        let port_factor = 1.0 + model.port_area_factor() * (f64::from(ports) - 1.0);
-        cells *= bank * port_factor;
-    }
+    // The cell array of any module holding these words is banked at
+    // least this hard and pays at least this port area factor.
+    let bank = 1.0 + (words as f64 / model.bank_words()).min(2.0);
+    let port_factor = 1.0 + model.port_area_factor() * (f64::from(ports) - 1.0);
+    cells *= bank * port_factor;
     let mw = energy * traffic[g.index()].total() / time_s / 1e9;
     cells * options.area_weight + mw * options.power_weight
 }
@@ -1820,22 +1789,21 @@ fn group_floor(
 ///
 /// `bound(i, open, k)` lower-bounds the cost every completion adds for
 /// the unassigned groups `order[i..]`, given `open` non-empty memories
-/// so far and `k` memories in total. It is admissible for both
-/// [`BoundKind`]s; the pairwise variant additionally charges each
-/// group's minimum-port floor, the fixed module overhead of every
-/// memory still to be opened, and the `remaining − (k − open)` joins
-/// the pigeonhole principle forces, each at the group's cheapest
+/// so far and `k` memories in total. It is admissible: it charges each
+/// group's floor at its minimum port count, the fixed module overhead
+/// of every memory still to be opened, and the `remaining − (k − open)`
+/// joins the pigeonhole principle forces, each at the group's cheapest
 /// pairwise-conflict extra.
 struct SuffixBound {
-    /// `base[i]` = Σ over `order[i..]` of the per-group floor (solo, or
-    /// solo + minimum-port tightening for the pairwise bound).
+    /// `base[i]` = Σ over `order[i..]` of the per-group floor at the
+    /// group's minimum port count.
     base: Vec<f64>,
     /// `merge[i][m]` = sum of the `m` smallest join extras among
-    /// `order[i..]`; `None` for the solo bound.
-    merge: Option<Vec<Vec<f64>>>,
+    /// `order[i..]`.
+    merge: Vec<Vec<f64>>,
     /// Area-weighted per-module overhead charged for every memory still
     /// to be opened (each of the `k − open` future blocks pays at least
-    /// the module generator's fixed overhead). Zero for the solo bound.
+    /// the module generator's fixed overhead).
     per_block: f64,
     n: usize,
 }
@@ -1850,86 +1818,66 @@ impl SuffixBound {
         time_s: f64,
         order: &[BasicGroupId],
         oracle: &PortOracle,
-        kind: BoundKind,
     ) -> SuffixBound {
         let n = order.len();
         let floor = |g: BasicGroupId, words: u64, width: u32, ports: u32| {
-            group_floor(
-                spec, traffic, lib, options, time_s, g, words, width, ports, kind,
-            )
+            group_floor(spec, traffic, lib, options, time_s, g, words, width, ports)
         };
-        // The solo floor (1-port private module; flat cells for
-        // `BoundKind::Solo`, model-mirrored for `BoundKind::Pairwise`).
-        let solo: Vec<f64> = order
+        // Unary floor: every memory holding `g` needs at least the
+        // group's own minimum port count.
+        let tight: Vec<f64> = order
             .iter()
-            .map(|&g| floor(g, spec.group(g).words(), spec.group(g).bitwidth(), 1))
+            .map(|&g| {
+                let grp = spec.group(g);
+                floor(g, grp.words(), grp.bitwidth(), grp.min_ports().max(1))
+            })
             .collect();
-        let (per_group, merge) = match kind {
-            BoundKind::Solo => (solo, None),
-            BoundKind::Pairwise => {
-                // Tightening 1 (unary): every memory holding `g` needs at
-                // least the group's own minimum port count.
-                let tight: Vec<f64> = order
-                    .iter()
-                    .map(|&g| {
-                        let grp = spec.group(g);
-                        floor(g, grp.words(), grp.bitwidth(), grp.min_ports().max(1))
-                    })
-                    .collect();
-                // Tightening 2 (pairwise): if `g` shares a memory with
-                // *any* other group `h`, the block holds at least both
-                // groups' words, is at least max(w_g, w_h) wide and
-                // needs at least the ports their combined cycle
-                // conflicts force — `g`'s floor rises by at least the
-                // cheapest such extra over all partners (the energy
-                // model is strictly monotone in module words, so every
-                // co-assignment costs something).
-                let join: Vec<f64> = order
+        // Pairwise tightening: if `g` shares a memory with *any* other
+        // group `h`, the block holds at least both groups' words, is at
+        // least max(w_g, w_h) wide and needs at least the ports their
+        // combined cycle conflicts force — `g`'s floor rises by at least
+        // the cheapest such extra over all partners (the energy model is
+        // strictly monotone in module words, so every co-assignment
+        // costs something).
+        let join: Vec<f64> = order
+            .iter()
+            .enumerate()
+            .map(|(i, &g)| {
+                let grp = spec.group(g);
+                order
                     .iter()
                     .enumerate()
-                    .map(|(i, &g)| {
-                        let grp = spec.group(g);
-                        order
-                            .iter()
-                            .enumerate()
-                            .filter(|&(j, _)| j != i)
-                            .map(|(_, &h)| {
-                                let other = spec.group(h);
-                                let words = grp.words() + other.words();
-                                let width = grp.bitwidth().max(other.bitwidth());
-                                let ports =
-                                    oracle.required((1u64 << g.index()) | (1u64 << h.index()));
-                                (floor(g, words, width, ports) - tight[i]).max(0.0)
-                            })
-                            .min_by(f64::total_cmp)
-                            .unwrap_or(0.0)
+                    .filter(|&(j, _)| j != i)
+                    .map(|(_, &h)| {
+                        let other = spec.group(h);
+                        let words = grp.words() + other.words();
+                        let width = grp.bitwidth().max(other.bitwidth());
+                        let ports = oracle.required((1u64 << g.index()) | (1u64 << h.index()));
+                        (floor(g, words, width, ports) - tight[i]).max(0.0)
                     })
-                    .collect();
-                // merge[i][m]: the m smallest join extras of the suffix.
-                let mut merge = Vec::with_capacity(n + 1);
-                for i in 0..=n {
-                    let mut tail: Vec<f64> = join[i..].to_vec();
-                    tail.sort_by(f64::total_cmp);
-                    let mut sums = Vec::with_capacity(tail.len() + 1);
-                    let mut acc = 0.0;
-                    sums.push(0.0);
-                    for v in tail {
-                        acc += v;
-                        sums.push(acc);
-                    }
-                    merge.push(sums);
-                }
-                (tight, Some(merge))
+                    .min_by(f64::total_cmp)
+                    .unwrap_or(0.0)
+            })
+            .collect();
+        // merge[i][m]: the m smallest join extras of the suffix.
+        let mut merge = Vec::with_capacity(n + 1);
+        for i in 0..=n {
+            let mut tail: Vec<f64> = join[i..].to_vec();
+            tail.sort_by(f64::total_cmp);
+            let mut sums = Vec::with_capacity(tail.len() + 1);
+            let mut acc = 0.0;
+            sums.push(0.0);
+            for v in tail {
+                acc += v;
+                sums.push(acc);
             }
-        };
+            merge.push(sums);
+        }
         let mut base = vec![0.0; n + 1];
         for i in (0..n).rev() {
-            base[i] = base[i + 1] + per_group[i];
+            base[i] = base[i + 1] + tight[i];
         }
-        let per_block = match kind {
-            BoundKind::Solo => 0.0,
-            BoundKind::Pairwise => lib.on_chip().module_overhead_mm2() * options.area_weight,
-        };
+        let per_block = lib.on_chip().module_overhead_mm2() * options.area_weight;
         SuffixBound {
             base,
             merge,
@@ -1950,15 +1898,8 @@ impl SuffixBound {
     /// *integer* delta is maintained across nodes, so the two paths are
     /// bit-identical by construction (debug builds assert it per node).
     fn bound_with(&self, i: usize, to_open: usize) -> f64 {
-        let base = self.base[i] + self.per_block * to_open as f64;
-        match &self.merge {
-            None => base,
-            Some(merge) => {
-                let remaining = self.n - i;
-                let forced = remaining.saturating_sub(to_open);
-                base + merge[i][forced]
-            }
-        }
+        let forced = (self.n - i).saturating_sub(to_open);
+        self.base[i] + self.per_block * to_open as f64 + self.merge[i][forced]
     }
 }
 
@@ -1995,16 +1936,7 @@ impl<'a> OnChipSweep<'a> {
                 .total_cmp(&traffic[a.index()].total())
                 .then(a.cmp(b))
         });
-        let bound = SuffixBound::build(
-            spec,
-            traffic,
-            lib,
-            options,
-            time_s,
-            &order,
-            oracle,
-            options.bound,
-        );
+        let bound = SuffixBound::build(spec, traffic, lib, options, time_s, &order, oracle);
         OnChipSweep {
             spec,
             traffic,
@@ -2577,10 +2509,9 @@ fn assign_on_chip(
     (Some(mems), nodes, updates)
 }
 
-/// Root lower bounds of the on-chip search for `k` memories, as
-/// `(solo, pairwise)` — test instrumentation for the admissibility and
-/// dominance properties (the pairwise bound must sit between the solo
-/// bound and the true optimal on-chip cost). Returns `Ok(None)` when the
+/// Root lower bound of the on-chip search for `k` memories — test
+/// instrumentation for the admissibility property (the bound must not
+/// exceed the true optimal on-chip cost). Returns `Ok(None)` when the
 /// spec has no on-chip candidate groups or `k` is out of range.
 ///
 /// # Errors
@@ -2589,13 +2520,13 @@ fn assign_on_chip(
 /// [`ExploreError::NoFeasibleAssignment`] for group sets beyond the
 /// mask limits, mirroring [`assign_with_stats_cached`].
 #[doc(hidden)]
-pub fn root_lower_bounds(
+pub fn root_lower_bound(
     spec: &AppSpec,
     scbd: &ScbdResult,
     lib: &MemLibrary,
     options: &AllocOptions,
     k: u32,
-) -> Result<Option<(f64, f64)>, ExploreError> {
+) -> Result<Option<f64>, ExploreError> {
     check_cost_weights(options.area_weight, options.power_weight)?;
     let traffic = group_traffic(spec);
     let time_s = spec.real_time_seconds();
@@ -2611,12 +2542,8 @@ pub fn root_lower_bounds(
             .total_cmp(&traffic[a.index()].total())
             .then(a.cmp(b))
     });
-    let build =
-        |kind| SuffixBound::build(spec, &traffic, lib, options, time_s, &order, &oracle, kind);
-    let solo = build(BoundKind::Solo);
-    let pairwise = build(BoundKind::Pairwise);
-    let k = k as usize;
-    Ok(Some((solo.bound(0, 0, k), pairwise.bound(0, 0, k))))
+    let bound = SuffixBound::build(spec, &traffic, lib, options, time_s, &order, &oracle);
+    Ok(Some(bound.bound(0, 0, k as usize)))
 }
 
 #[cfg(test)]
@@ -3099,37 +3026,24 @@ mod tests {
         // k-sweep must be bit-identical for workers in {1, 2, 8}.
         let spec = off_heavy_spec();
         let s = scbd::distribute(&spec).unwrap();
-        for bound in [BoundKind::Solo, BoundKind::Pairwise] {
-            let serial = assign_with_stats_cached(
+        let run = |workers: usize| {
+            assign_with_stats_cached(
                 &spec,
                 &s,
                 &lib(),
                 &AllocOptions {
-                    workers: 1,
-                    bound,
+                    workers,
                     ..AllocOptions::default()
                 },
                 None,
             )
             .unwrap()
-            .0;
-            assert!(serial.off_chip_count() >= 1);
-            for workers in [2, 8] {
-                let parallel = assign_with_stats_cached(
-                    &spec,
-                    &s,
-                    &lib(),
-                    &AllocOptions {
-                        workers,
-                        bound,
-                        ..AllocOptions::default()
-                    },
-                    None,
-                )
-                .unwrap()
-                .0;
-                assert_eq!(serial, parallel, "bound={bound:?} workers={workers}");
-            }
+            .0
+        };
+        let serial = run(1);
+        assert!(serial.off_chip_count() >= 1);
+        for workers in [2, 8] {
+            assert_eq!(serial, run(workers), "workers={workers}");
         }
     }
 
@@ -3192,43 +3106,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn solo_and_pairwise_bounds_agree_on_exact_results() {
-        // Both bounds are admissible, so with an unexhausted node budget
-        // the search returns the same optimum either way.
-        let spec = mixed_spec(2_000_000);
-        let s = scbd::distribute(&spec).unwrap();
-        for on_chip_memories in [None, Some(1), Some(2), Some(3)] {
-            let solo = assign_with_stats_cached(
-                &spec,
-                &s,
-                &lib(),
-                &AllocOptions {
-                    on_chip_memories,
-                    bound: BoundKind::Solo,
-                    ..AllocOptions::default()
-                },
-                None,
-            )
-            .unwrap()
-            .0;
-            let pairwise = assign_with_stats_cached(
-                &spec,
-                &s,
-                &lib(),
-                &AllocOptions {
-                    on_chip_memories,
-                    bound: BoundKind::Pairwise,
-                    ..AllocOptions::default()
-                },
-                None,
-            )
-            .unwrap()
-            .0;
-            assert_eq!(solo, pairwise, "k={on_chip_memories:?}");
-        }
-    }
-
     /// Many on-chip groups with mixed widths and a tight enough budget
     /// to create real port conflicts — large enough that the
     /// branch-and-bound actually expands nodes.
@@ -3255,40 +3132,14 @@ mod tests {
     }
 
     #[test]
-    fn pairwise_bound_visits_no_more_nodes_than_solo() {
-        let spec = many_group_spec();
-        let s = scbd::distribute(&spec).unwrap();
-        let nodes = |bound| {
-            let (_, stats) = assign_with_stats_cached(
-                &spec,
-                &s,
-                &lib(),
-                &AllocOptions {
-                    workers: 1,
-                    bound,
-                    ..AllocOptions::default()
-                },
-                None,
-            )
-            .unwrap();
-            stats.bb_nodes
-        };
-        let solo = nodes(BoundKind::Solo);
-        let pairwise = nodes(BoundKind::Pairwise);
-        assert!(pairwise <= solo, "pairwise {pairwise} > solo {solo}");
-        assert!(solo > 0);
-    }
-
-    #[test]
-    fn root_bounds_are_ordered_and_admissible_on_the_mixed_spec() {
+    fn root_bound_is_admissible_on_the_mixed_spec() {
         let spec = mixed_spec(2_000_000);
         let s = scbd::distribute(&spec).unwrap();
         let options = AllocOptions::default();
         for k in 1..=3u32 {
-            let (solo, pairwise) = root_lower_bounds(&spec, &s, &lib(), &options, k)
+            let bound = root_lower_bound(&spec, &s, &lib(), &options, k)
                 .unwrap()
                 .expect("on-chip groups exist");
-            assert!(solo <= pairwise + 1e-12, "k={k}");
             // Admissibility against the exact fixed-k optimum (the
             // sweep's on-chip memories only).
             let org = assign_with_stats_cached(
@@ -3311,8 +3162,8 @@ mod tests {
                 .sum();
             let optimum = on_chip.scalar(options.area_weight, options.power_weight);
             assert!(
-                pairwise <= optimum + 1e-9,
-                "k={k}: pairwise bound {pairwise} exceeds optimum {optimum}"
+                bound <= optimum + 1e-9,
+                "k={k}: root bound {bound} exceeds optimum {optimum}"
             );
         }
     }
@@ -3642,12 +3493,12 @@ mod tests {
 
     #[test]
     fn dominance_collapses_the_sixteen_group_tie_plateau() {
-        // The ROADMAP acceptance fixture: 16 mutually compatible
-        // symmetric groups. Without dominance every one of the ~10^10
-        // partitions prices identically, so the bound prunes nothing and
-        // any practical budget exhausts. With the rule (the default) the
-        // surviving tree is 2^16 - 1 nodes and the *default* budget
-        // proves the optimum, identically for every worker count.
+        // 16 mutually compatible symmetric groups. Without dominance
+        // every one of the ~10^10 partitions prices identically, so the
+        // bound alone prunes nothing and any practical budget exhausts.
+        // With the rule the surviving tree is 2^16 - 1 nodes and the
+        // *default* budget proves the optimum, identically for every
+        // worker count.
         let spec = plateau_off_chip_spec(16);
         let s = scbd::distribute(&spec).unwrap();
         let run = |workers: usize| {
@@ -3681,25 +3532,6 @@ mod tests {
             let (parallel, _) = run(workers);
             assert_eq!(serial, parallel, "workers={workers}");
         }
-        // Disabling the rule restores the plateau: the same instance
-        // exhausts even a budget comfortably above the dominance run's
-        // entire node count.
-        let err = assign_with_stats_cached(
-            &spec,
-            &s,
-            &lib(),
-            &AllocOptions {
-                off_chip_dominance: false,
-                node_limit: 200_000,
-                ..AllocOptions::default()
-            },
-            None,
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err, ExploreError::TooManyOffChipGroups { count: 16, .. }),
-            "{err:?}"
-        );
     }
 
     #[test]
@@ -3796,49 +3628,18 @@ mod tests {
         };
         let default_lib = lib();
         for k in 1..=3u32 {
-            let (_, default_bound) = root_lower_bounds(&spec, &s, &default_lib, &options, k)
-                .unwrap()
-                .expect("on-chip groups exist");
-            let (_, cheap) = root_lower_bounds(&spec, &s, &scaled_lib(0.25), &options, k)
-                .unwrap()
-                .expect("on-chip groups exist");
-            let (_, dear) = root_lower_bounds(&spec, &s, &scaled_lib(4.0), &options, k)
-                .unwrap()
-                .expect("on-chip groups exist");
+            let bound = |lib: &MemLibrary| {
+                root_lower_bound(&spec, &s, lib, &options, k)
+                    .unwrap()
+                    .expect("on-chip groups exist")
+            };
+            let default_bound = bound(&default_lib);
+            let cheap = bound(&scaled_lib(0.25));
+            let dear = bound(&scaled_lib(4.0));
             assert!(cheap < default_bound, "k={k}: {cheap} !< {default_bound}");
             assert!(dear > default_bound, "k={k}: {dear} !> {default_bound}");
         }
-        // Both bounds stay admissible on the cheap library: solo and
-        // pairwise searches agree on the exact optimum.
-        for on_chip_memories in [None, Some(2)] {
-            let cheap = scaled_lib(0.25);
-            let solo = assign_with_stats_cached(
-                &spec,
-                &s,
-                &cheap,
-                &AllocOptions {
-                    on_chip_memories,
-                    bound: BoundKind::Solo,
-                    ..AllocOptions::default()
-                },
-                None,
-            )
-            .unwrap()
-            .0;
-            let pairwise = assign_with_stats_cached(
-                &spec,
-                &s,
-                &cheap,
-                &AllocOptions {
-                    on_chip_memories,
-                    bound: BoundKind::Pairwise,
-                    ..AllocOptions::default()
-                },
-                None,
-            )
-            .unwrap()
-            .0;
-            assert_eq!(solo, pairwise, "k={on_chip_memories:?}");
-        }
+        // Admissibility on the cheap library (the search still returns
+        // the exhaustive optimum) is a property test in `tests/prop.rs`.
     }
 }

@@ -47,7 +47,7 @@
 //! * a **knobs fingerprint** for solver options: the per-kind
 //!   algorithm revision, plus — for allocation — every
 //!   [`crate::alloc::AllocOptions`] field that steers the result
-//!   (bound kind, memory-count constraint, cost weights, port cap).
+//!   (memory-count constraint, cost weights, port cap).
 //!   Worker count is deliberately *excluded*: the solver is documented
 //!   (and CI-enforced) bit-identical for every worker count, so one
 //!   entry serves them all.
@@ -106,7 +106,7 @@ use memx_ir::hash::StableHasher;
 use memx_ir::{AppSpec, BasicGroupId, LoopNestId};
 use memx_memlib::{calibration, timing, CostBreakdown, MemLibrary, OffChipPart, OffChipSelection};
 
-use crate::alloc::{AllocOptions, AllocStats, BoundKind, MemoryInstance, MemoryKind, Organization};
+use crate::alloc::{AllocOptions, AllocStats, MemoryInstance, MemoryKind, Organization};
 use crate::scbd::{self, BodySchedule, Occupant, PlacedAccess, ScbdResult};
 use crate::ExploreError;
 
@@ -250,16 +250,15 @@ impl CacheKey {
     /// `options.workers` is deliberately not part of the key: the
     /// solver returns bit-identical organizations for every worker
     /// count (CI-enforced), so one entry serves them all. Everything
-    /// else that steers the result — bound kind, memory-count
-    /// constraint, cost weights, port cap, node limit — is keyed.
+    /// else that steers the result — memory-count constraint, cost
+    /// weights, port cap, node limit — is keyed.
     pub fn alloc(instance: u64, lib: &MemLibrary, options: &AllocOptions) -> Self {
         let mut knobs = StableHasher::new();
         knobs.write_str("alloc-knobs");
         knobs.write_u64(ALLOC_ALGO_REVISION);
-        knobs.write_u64(match options.bound {
-            BoundKind::Solo => 0,
-            BoundKind::Pairwise => 1,
-        });
+        // The retired bound selector's pairwise value, kept so key bytes
+        // (and carried entries) stay valid.
+        knobs.write_u64(1);
         match options.on_chip_memories {
             None => knobs.write_u64(0),
             Some(k) => {
@@ -270,10 +269,9 @@ impl CacheKey {
         knobs.write_f64(options.area_weight);
         knobs.write_f64(options.power_weight);
         knobs.write_u64(u64::from(options.max_on_chip_ports));
-        // Dominance never changes the organization, but replayed stats
-        // (node counts, dominance cuts) differ — key it so a baseline
-        // run with dominance off is never served a with-dominance entry.
-        knobs.write_u64(u64::from(options.off_chip_dominance));
+        // The retired dominance switch's "on" value, kept so key bytes
+        // (and carried entries) stay valid.
+        knobs.write_u64(1);
         CacheKey {
             content_hash: instance,
             budget: options.node_limit,
@@ -1274,30 +1272,17 @@ mod tests {
             ..key
         };
         assert!(cache.load_alloc(&recalibrated).is_none());
-        // A different bound is a different knobs fingerprint…
-        let other_bound = CacheKey::alloc(
+        // A different port cap is a different knobs fingerprint…
+        let other_ports = CacheKey::alloc(
             7,
             &lib,
             &AllocOptions {
-                bound: BoundKind::Solo,
+                max_on_chip_ports: options.max_on_chip_ports + 1,
                 ..options.clone()
             },
         );
-        assert_ne!(key.knobs_fingerprint, other_bound.knobs_fingerprint);
-        assert!(cache.load_alloc(&other_bound).is_none());
-        // …as is toggling the dominance rule (replayed node counts and
-        // dominance-cut stats differ even though the organization is
-        // identical)…
-        let no_dominance = CacheKey::alloc(
-            7,
-            &lib,
-            &AllocOptions {
-                off_chip_dominance: false,
-                ..options.clone()
-            },
-        );
-        assert_ne!(key.knobs_fingerprint, no_dominance.knobs_fingerprint);
-        assert!(cache.load_alloc(&no_dominance).is_none());
+        assert_ne!(key.knobs_fingerprint, other_ports.knobs_fingerprint);
+        assert!(cache.load_alloc(&other_ports).is_none());
         // …and a different node limit a different budget slot.
         let other_limit = CacheKey::alloc(
             7,

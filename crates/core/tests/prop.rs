@@ -2,8 +2,8 @@
 //! assignment invariants over random specifications.
 
 use memx_core::alloc::{
-    assign_with_stats_cached, bell_number, off_chip_exhaustive_reference, root_lower_bounds,
-    AllocOptions, BoundKind, MemoryKind,
+    assign_with_stats_cached, bell_number, off_chip_exhaustive_reference, root_lower_bound,
+    AllocOptions, MemoryKind,
 };
 use memx_core::cache::EvalCache;
 use memx_core::explore::pareto_indices;
@@ -447,12 +447,11 @@ proptest! {
     }
 
     #[test]
-    fn pairwise_bound_is_admissible_and_dominates_solo(spec in arb_onchip_spec()) {
-        // The two properties that make BoundKind::Pairwise sound and
-        // worthwhile, against a ground truth computed by exhaustive
-        // partition enumeration (independent of the search under test):
-        //   admissibility: pairwise root bound <= true optimal cost;
-        //   dominance:     pairwise root bound >= solo root bound.
+    fn pairwise_bound_is_admissible(spec in arb_onchip_spec()) {
+        // The property that makes the pairwise bound sound, against a
+        // ground truth computed by exhaustive partition enumeration
+        // (independent of the search under test): the root bound never
+        // exceeds the true optimal cost.
         let lib = MemLibrary::default_07um();
         let schedule = scbd::distribute(&spec).expect("schedulable");
         let options = AllocOptions::default();
@@ -467,13 +466,9 @@ proptest! {
             .collect();
         prop_assert!(!groups.is_empty(), "every nest has at least one access");
         for k in 1..=groups.len() {
-            let (solo, pairwise) = root_lower_bounds(&spec, &schedule, &lib, &options, k as u32)
+            let pairwise = root_lower_bound(&spec, &schedule, &lib, &options, k as u32)
                 .expect("weights valid")
                 .expect("on-chip groups exist");
-            prop_assert!(
-                solo <= pairwise + 1e-12,
-                "k={}: solo bound {} above pairwise {}", k, solo, pairwise
-            );
             if let Some(optimum) =
                 exhaustive_on_chip_optimum(&spec, &schedule, &lib, &groups, k)
             {
@@ -486,11 +481,19 @@ proptest! {
     }
 
     #[test]
-    fn exact_search_matches_exhaustive_optimum_for_both_bounds(spec in arb_onchip_spec()) {
+    fn exact_search_matches_exhaustive_optimum(spec in arb_onchip_spec()) {
         // With an unexhausted node budget the branch-and-bound is exact:
-        // whatever bound prunes it, the returned on-chip cost must equal
-        // the exhaustively-enumerated optimum.
-        let lib = MemLibrary::default_07um();
+        // the returned on-chip cost must equal the exhaustively-enumerated
+        // optimum, on the default library and on one with 0.25x cell
+        // costs (where a bound reading the default constants would
+        // over-prune).
+        let base = OnChipModel::default_07um();
+        let cheap = MemLibrary::new(
+            base.clone()
+                .with_area_per_bit_mm2(base.area_per_bit_mm2() * 0.25)
+                .with_module_overhead_mm2(base.module_overhead_mm2() * 0.25),
+            OffChipCatalog::default_edo(),
+        );
         let schedule = scbd::distribute(&spec).expect("schedulable");
         let groups: Vec<BasicGroupId> = spec
             .basic_groups()
@@ -502,12 +505,11 @@ proptest! {
             .map(|g| g.id())
             .collect();
         prop_assert!(!groups.is_empty(), "every nest has at least one access");
-        for k in 1..=groups.len() {
-            let optimum = exhaustive_on_chip_optimum(&spec, &schedule, &lib, &groups, k);
-            for bound in [BoundKind::Solo, BoundKind::Pairwise] {
+        for (name, lib) in [("default", MemLibrary::default_07um()), ("cheap", cheap)] {
+            for k in 1..=groups.len() {
+                let optimum = exhaustive_on_chip_optimum(&spec, &schedule, &lib, &groups, k);
                 let result = assign_with_stats_cached(&spec, &schedule, &lib, &AllocOptions {
                     on_chip_memories: Some(k as u32),
-                    bound,
                     ..AllocOptions::default()
                 }, None).map(|(org, _)| org);
                 match (&optimum, result) {
@@ -515,15 +517,15 @@ proptest! {
                         let scalar = org.cost.scalar(1.0, 1.0);
                         prop_assert!(
                             (scalar - opt).abs() <= opt.abs() * 1e-9 + 1e-9,
-                            "k={} bound={:?}: search {} vs optimum {}", k, bound, scalar, opt
+                            "k={} lib={}: search {} vs optimum {}", k, name, scalar, opt
                         );
                     }
                     (None, Err(_)) => {}
                     (opt, res) => {
                         prop_assert!(
                             false,
-                            "k={} bound={:?}: feasibility disagrees ({:?} vs {:?})",
-                            k, bound, opt, res.map(|o| o.cost)
+                            "k={} lib={}: feasibility disagrees ({:?} vs {:?})",
+                            k, name, opt, res.map(|o| o.cost)
                         );
                     }
                 }
@@ -647,48 +649,46 @@ proptest! {
         // solver: same organization (cost float bits included, via the
         // derived equality) and the same replayed AllocStats — for every
         // worker count, since worker count is deliberately excluded from
-        // the key, and for both bound kinds, which key separately.
+        // the key.
         use std::sync::atomic::{AtomicUsize, Ordering};
         static CASE: AtomicUsize = AtomicUsize::new(0);
         let lib = MemLibrary::default_07um();
         let schedule = scbd::distribute(&spec).expect("schedulable");
-        for bound in [BoundKind::Solo, BoundKind::Pairwise] {
-            let serial = AllocOptions { workers: 1, bound, ..AllocOptions::default() };
-            let (want_org, want_stats) =
-                assign_with_stats_cached(&spec, &schedule, &lib, &serial, None)
+        let serial = AllocOptions { workers: 1, ..AllocOptions::default() };
+        let (want_org, want_stats) =
+            assign_with_stats_cached(&spec, &schedule, &lib, &serial, None)
+                .expect("assignable");
+
+        let dir = std::env::temp_dir().join(format!(
+            "memx-prop-alloc-{}-{}",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed),
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let cache = EvalCache::open(&dir).expect("cache opens");
+
+        // Cold pass populates the entry and must already match the
+        // uncached run exactly.
+        let (cold_org, cold_stats) =
+            assign_with_stats_cached(&spec, &schedule, &lib, &serial, Some(&cache))
+                .expect("assignable");
+        prop_assert_eq!(&cold_org, &want_org, "cold");
+        prop_assert_eq!(&cold_stats, &want_stats, "cold");
+        prop_assert_eq!(cache.stats().alloc_misses, 1);
+        prop_assert_eq!(cache.stats().alloc_hits, 0);
+
+        for workers in [1usize, 2, 8] {
+            let options = AllocOptions { workers, ..AllocOptions::default() };
+            let (org, stats) =
+                assign_with_stats_cached(&spec, &schedule, &lib, &options, Some(&cache))
                     .expect("assignable");
-
-            let dir = std::env::temp_dir().join(format!(
-                "memx-prop-alloc-{}-{}",
-                std::process::id(),
-                CASE.fetch_add(1, Ordering::Relaxed),
-            ));
-            std::fs::remove_dir_all(&dir).ok();
-            let cache = EvalCache::open(&dir).expect("cache opens");
-
-            // Cold pass populates the entry and must already match the
-            // uncached run exactly.
-            let (cold_org, cold_stats) =
-                assign_with_stats_cached(&spec, &schedule, &lib, &serial, Some(&cache))
-                    .expect("assignable");
-            prop_assert_eq!(&cold_org, &want_org, "cold bound={:?}", bound);
-            prop_assert_eq!(&cold_stats, &want_stats, "cold bound={:?}", bound);
-            prop_assert_eq!(cache.stats().alloc_misses, 1);
-            prop_assert_eq!(cache.stats().alloc_hits, 0);
-
-            for workers in [1usize, 2, 8] {
-                let options = AllocOptions { workers, bound, ..AllocOptions::default() };
-                let (org, stats) =
-                    assign_with_stats_cached(&spec, &schedule, &lib, &options, Some(&cache))
-                        .expect("assignable");
-                prop_assert_eq!(&org, &want_org, "workers={} bound={:?}", workers, bound);
-                prop_assert_eq!(&stats, &want_stats, "workers={} bound={:?}", workers, bound);
-            }
-            prop_assert_eq!(cache.stats().alloc_hits, 3, "bound={:?}", bound);
-            prop_assert_eq!(cache.stats().alloc_misses, 1, "bound={:?}", bound);
-            prop_assert_eq!(cache.stats().write_failures(), 0);
-            std::fs::remove_dir_all(&dir).ok();
+            prop_assert_eq!(&org, &want_org, "workers={}", workers);
+            prop_assert_eq!(&stats, &want_stats, "workers={}", workers);
         }
+        prop_assert_eq!(cache.stats().alloc_hits, 3);
+        prop_assert_eq!(cache.stats().alloc_misses, 1);
+        prop_assert_eq!(cache.stats().write_failures(), 0);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use std::fmt;
 
-use memx_core::alloc::{AllocOptions, BoundKind};
+use memx_core::alloc::AllocOptions;
 use memx_core::engine::{DesignPoint, Engine};
 use memx_core::explore::{CostReport, EvaluateOptions};
 use memx_core::ExploreError;
@@ -407,19 +407,6 @@ fn decode_alloc(alloc: &Json, point_ctx: &str) -> Result<AllocOptions, WireError
             )
         })?,
     };
-    let bound = match alloc.get("bound") {
-        None | Some(Json::Null) => defaults.bound,
-        Some(v) => match v.as_str() {
-            Some("solo") => BoundKind::Solo,
-            Some("pairwise") => BoundKind::Pairwise,
-            _ => {
-                return Err(shape(
-                    format!("{ctx}.bound"),
-                    "expected \"solo\" or \"pairwise\"",
-                ))
-            }
-        },
-    };
     Ok(AllocOptions {
         on_chip_memories,
         area_weight: opt_f64(alloc, &ctx, "area_weight")?.unwrap_or(defaults.area_weight),
@@ -430,9 +417,6 @@ fn decode_alloc(alloc: &Json, point_ctx: &str) -> Result<AllocOptions, WireError
         // requests, split per request (see `crate::server`). A request
         // asks for workers at the top level, never per point.
         workers: 0,
-        bound,
-        off_chip_dominance: opt_bool(alloc, &ctx, "off_chip_dominance")?
-            .unwrap_or(defaults.off_chip_dominance),
     })
 }
 
@@ -730,7 +714,7 @@ mod tests {
     fn alloc_options_decode_every_knob() {
         let body = r#"{
           "spec": {"name": "x", "cycle_budget": 100000, "groups": [{"name": "g", "words": 64, "bitwidth": 8}], "nests": [{"name": "n", "iterations": 10, "accesses": [{"group": 0, "kind": "write"}]}]},
-          "points": [{"alloc": {"on_chip_memories": 3, "area_weight": 2.0, "power_weight": 0.5, "max_on_chip_ports": 2, "node_limit": 1000, "bound": "solo", "off_chip_dominance": false}}],
+          "points": [{"alloc": {"on_chip_memories": 3, "area_weight": 2.0, "power_weight": 0.5, "max_on_chip_ports": 2, "node_limit": 1000}}],
           "workers": 2
         }"#;
         let request = decode_evaluate(
@@ -744,10 +728,24 @@ mod tests {
         assert_eq!(alloc.power_weight, 0.5);
         assert_eq!(alloc.max_on_chip_ports, 2);
         assert_eq!(alloc.node_limit, 1000);
-        assert_eq!(alloc.bound, BoundKind::Solo);
-        assert!(!alloc.off_chip_dominance);
         assert_eq!(alloc.workers, 0, "wire never sets per-point workers");
         assert_eq!(request.workers, Some(2));
         assert_eq!(request.points[0].0, "point 0", "default label");
+    }
+
+    #[test]
+    fn protocol_doc_request_example_decodes_its_knobs() {
+        let doc = include_str!("../../../docs/serve_protocol.md");
+        let (_, rest) = doc.split_once("```json\n").expect("doc has a json block");
+        let (block, _) = rest.split_once("```").expect("json block is closed");
+        let request = decode_evaluate(
+            &json::parse(block.as_bytes()).unwrap(),
+            WireLimits::default(),
+        )
+        .unwrap();
+        let (label, options) = &request.points[0];
+        assert_eq!(label, "tight budget");
+        assert_eq!(options.cycle_budget, Some(50_000));
+        assert_eq!(options.alloc.on_chip_memories, Some(2));
     }
 }

@@ -10,11 +10,9 @@
 # noise on sub-second binaries). The two runs print bit-identical
 # tables; only the wall-clock differs, and only on multi-core hosts.
 #
-# The table4 branch-and-bound is additionally run once per lower bound
-# (MEMX_BOUND=solo / pairwise) with a raised node limit, recording the
-# nodes-visited counters: with an unexhausted budget the node count
-# measures pruning power, and the pairwise-conflict bound must not lose
-# to the solo baseline.
+# The table4 branch-and-bound is additionally run once pinned serial
+# with a raised node limit, recording the on-chip nodes-visited counter:
+# with an unexhausted budget the node count measures pruning power.
 #
 # The same pinned-serial table4 run also records the *off-chip*
 # branch-and-bound counters: nodes expanded versus the Bell-number
@@ -34,11 +32,9 @@
 #
 # The v6 schema adds the symmetric-group dominance block: the table4
 # sweep's dominance-cut counter, plus the plateau_dominance binary's
-# off-chip node count with and without the rule (MEMX_DOMINANCE on/off,
-# pinned serial). The instance is a pure tie plateau, so the lower
-# bound alone prunes nothing there and the with/without ratio isolates
-# the dominance rule's contribution. scripts/bench_regression.sh gates
-# nodes-with < nodes-without self-contained.
+# off-chip node and cut counts (pinned serial). The instance is a pure
+# tie plateau, so the lower bound alone prunes nothing there and the
+# node count is what the dominance rule leaves of it.
 #
 # The v7 schema adds the resident-daemon block (serve): memx-serve is
 # booted on loopback with a throwaway cache and driven through a cold
@@ -56,13 +52,18 @@
 # scripts/bench_regression.sh gates entries > 0 and warm_hits > 0 —
 # text-loaded specs must hash onto the same cache keys as Rust-built
 # ones, or the warm pass would miss.
+#
+# The v9 schema drops the retired search variants: table4_nodes keeps
+# one on-chip count (the solo/pairwise pair is gone) and the dominance
+# block one plateau run with the rule on (the without-rule count is
+# gone).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 OUT="${BENCH_OUT:-BENCH_explore.json}"
 BINARIES=(table3_cycle_budget table4_allocation codec_rd_sweep)
-# Unexhausted node budget for the bound comparison (see header).
+# Unexhausted node budget for the node counts (see header).
 NODES_LIMIT=100000000
 
 cargo build --release --package memx-bench --package memx-serve --bins
@@ -86,14 +87,6 @@ run_secs_best() {
     a=$(run_secs "$@")
     b=$(run_secs "$@")
     awk -v a="$a" -v b="$b" 'BEGIN { printf "%.3f", (a < b) ? a : b }'
-}
-
-# table4_stderr BOUND -> the full stderr of a pinned-serial table4 run.
-# Pinned to one worker: parallel runs skip subtrees on thread timing, so
-# only the serial node counters are deterministic enough to gate on.
-table4_stderr() {
-    env MEMX_BOUND="$1" MEMX_NODE_LIMIT="$NODES_LIMIT" MEMX_WORKERS=1 \
-        ./target/release/table4_allocation 2>&1 >/dev/null
 }
 
 # stat_line STDERR LABEL -> the numeric value of "[LABEL: N]"
@@ -156,31 +149,27 @@ alloc_warm_misses=$(cache_misses "$stderr_warm" alloc)
 printf 'bench: alloc cache cold %s misses -> warm %s hits / %s misses\n' \
     "$alloc_cold_misses" "$alloc_warm_hits" "$alloc_warm_misses"
 
-stderr_solo=$(table4_stderr solo)
-stderr_pairwise=$(table4_stderr pairwise)
-nodes_solo=$(stat_line "$stderr_solo" "alloc nodes")
-nodes_pairwise=$(stat_line "$stderr_pairwise" "alloc nodes")
-off_nodes=$(stat_line "$stderr_pairwise" "off-chip nodes")
-off_exhaustive=$(stat_line "$stderr_pairwise" "off-chip exhaustive")
-table4_cuts=$(stat_line "$stderr_pairwise" "off-chip dominance cuts")
-printf 'bench: table4 nodes visited (exact search): solo %s / pairwise %s\n' \
-    "$nodes_solo" "$nodes_pairwise"
+# Pinned to one worker: parallel runs skip subtrees on thread timing, so
+# only the serial node counters are deterministic enough to gate on.
+stderr_table4=$(env MEMX_NODE_LIMIT="$NODES_LIMIT" MEMX_WORKERS=1 \
+    ./target/release/table4_allocation 2>&1 >/dev/null)
+nodes_on_chip=$(stat_line "$stderr_table4" "alloc nodes")
+off_nodes=$(stat_line "$stderr_table4" "off-chip nodes")
+off_exhaustive=$(stat_line "$stderr_table4" "off-chip exhaustive")
+table4_cuts=$(stat_line "$stderr_table4" "off-chip dominance cuts")
+printf 'bench: table4 on-chip nodes visited (exact search) %s\n' "$nodes_on_chip"
 printf 'bench: table4 off-chip nodes %s vs exhaustive partitions %s\n' \
     "$off_nodes" "$off_exhaustive"
 printf 'bench: table4 off-chip dominance cuts %s\n' "$table4_cuts"
 
 # Tie-plateau dominance counters: the plateau_dominance binary, pinned
-# serial, with the rule on (default) and off. Same stdout either way —
-# only the search-effort counters move.
-stderr_plateau_on=$(env MEMX_WORKERS=1 \
+# serial.
+stderr_plateau=$(env MEMX_WORKERS=1 \
     ./target/release/plateau_dominance 2>&1 >/dev/null)
-stderr_plateau_off=$(env MEMX_DOMINANCE=0 MEMX_WORKERS=1 \
-    ./target/release/plateau_dominance 2>&1 >/dev/null)
-plateau_nodes_with=$(stat_line "$stderr_plateau_on" "off-chip nodes")
-plateau_nodes_without=$(stat_line "$stderr_plateau_off" "off-chip nodes")
-plateau_cuts=$(stat_line "$stderr_plateau_on" "off-chip dominance cuts")
-printf 'bench: plateau off-chip nodes with dominance %s / without %s (cuts %s)\n' \
-    "$plateau_nodes_with" "$plateau_nodes_without" "$plateau_cuts"
+plateau_nodes=$(stat_line "$stderr_plateau" "off-chip nodes")
+plateau_cuts=$(stat_line "$stderr_plateau" "off-chip dominance cuts")
+printf 'bench: plateau off-chip nodes %s (dominance cuts %s)\n' \
+    "$plateau_nodes" "$plateau_cuts"
 
 # Workload-corpus counters: cold/warm memx-corpus against a throwaway
 # cache. The warm pass hitting proves text-parsed specs share content
@@ -228,7 +217,7 @@ printf 'bench: serve warm hits %s, rows streamed %s, rejected %s\n' \
 
 cat > "$OUT" << EOF
 {
-  "schema": "memexplore-bench-v8",
+  "schema": "memexplore-bench-v9",
   "generated_unix": $(date +%s),
   "smoke": $smoke,
   "cores": $cores,
@@ -242,8 +231,7 @@ ${entries%,$'\n'}
     "workers": $cores
   },
   "table4_nodes": {
-    "solo": $nodes_solo,
-    "pairwise": $nodes_pairwise
+    "on_chip": $nodes_on_chip
   },
   "table4_off_chip": {
     "bb_nodes": $off_nodes,
@@ -251,8 +239,7 @@ ${entries%,$'\n'}
   },
   "dominance": {
     "table4_dominance_cuts": $table4_cuts,
-    "plateau_nodes_with": $plateau_nodes_with,
-    "plateau_nodes_without": $plateau_nodes_without,
+    "plateau_nodes": $plateau_nodes,
     "plateau_cuts": $plateau_cuts
   },
   "scbd_cache": {

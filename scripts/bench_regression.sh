@@ -7,18 +7,12 @@
 #   * any binary's wall-clock in NEW exceeds 1.5x its PREV time (only
 #     binaries taking >= 0.2 s are gated — sub-tenth-second timings are
 #     timer noise, not signal);
-#   * NEW's table4 pairwise-bound node count exceeds the solo baseline
-#     (the pairwise-conflict bound must never prune *less* than the solo
-#     bound it replaced) — checked even without a PREV artifact;
 #   * NEW's table4 off-chip branch-and-bound node count reaches the
 #     Bell-number partition space of the retired exhaustive enumeration
-#     (the search must prune, not enumerate) — also self-contained;
+#     (the search must prune, not enumerate) — checked even without a
+#     PREV artifact;
 #   * NEW's off-chip node count exceeds 1.5x PREV's (pruning regressed
 #     against the cached baseline);
-#   * NEW's tie-plateau node count with the symmetric-group dominance
-#     rule is not strictly below the count without it (the rule must
-#     actually collapse the plateau; the instance is a pure tie, so the
-#     bound alone cannot account for the cut) — self-contained;
 #   * NEW's scbd_cache block reports zero warm hits or nonzero warm
 #     misses (the persistent cache stopped serving, or a warm cache is
 #     incomplete for an unchanged binary) — self-contained, no PREV
@@ -76,22 +70,7 @@ seconds() {
 
 fail=0
 
-# --- Nodes invariant (self-contained: no PREV needed). ----------------
-solo=$(field "$new" solo)
-pairwise=$(field "$new" pairwise)
-if [ -n "$solo" ] && [ -n "$pairwise" ]; then
-    if [ "$pairwise" -gt "$solo" ]; then
-        echo "bench-regression: FAIL pairwise bound visits $pairwise nodes > solo $solo" >&2
-        fail=1
-    else
-        echo "bench-regression: nodes ok (pairwise $pairwise <= solo $solo)"
-    fi
-else
-    echo "bench-regression: FAIL $new lacks table4_nodes counters" >&2
-    fail=1
-fi
-
-# --- Off-chip nodes invariant (self-contained). -----------------------
+# --- Off-chip nodes invariant (self-contained: no PREV needed). -------
 off_nodes=$(field "$new" bb_nodes)
 off_exhaustive=$(field "$new" exhaustive_partitions)
 if [ -n "$off_nodes" ] && [ -n "$off_exhaustive" ]; then
@@ -107,25 +86,6 @@ if [ -n "$off_nodes" ] && [ -n "$off_exhaustive" ]; then
     fi
 else
     echo "bench-regression: FAIL $new lacks table4_off_chip counters" >&2
-    fail=1
-fi
-
-# --- Dominance node-cut invariant (self-contained). -------------------
-plateau_with=$(block_field "$new" dominance plateau_nodes_with)
-plateau_without=$(block_field "$new" dominance plateau_nodes_without)
-if [ -n "$plateau_with" ] && [ -n "$plateau_without" ]; then
-    # awk: the no-dominance count can outgrow bash's integer range on
-    # huge plateau instances.
-    verdict=$(awk -v w="$plateau_with" -v wo="$plateau_without" \
-        'BEGIN { print (w + 0 < wo + 0) ? "ok" : "inverted" }')
-    if [ "$verdict" = "inverted" ]; then
-        echo "bench-regression: FAIL plateau nodes with dominance $plateau_with >= without $plateau_without" >&2
-        fail=1
-    else
-        echo "bench-regression: dominance cut ok (plateau nodes $plateau_with with < $plateau_without without)"
-    fi
-else
-    echo "bench-regression: FAIL $new lacks dominance counters" >&2
     fail=1
 fi
 
