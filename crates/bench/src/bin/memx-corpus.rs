@@ -156,7 +156,7 @@ fn main() {
         entries.len(),
         SPECGEN_COUNT
     );
-    experiments::print_alloc_stat_lines_from_stats(stats);
+    experiments::print_alloc_stat_lines(stats);
     experiments::print_cache_stat_lines(cache.as_deref());
     if failed {
         std::process::exit(1);

@@ -6,11 +6,10 @@
 //! the search-effort counters.
 //!
 //! The symmetric-group dominance rule is what prunes here: it collapses
-//! the Bell-number tree to the nondecreasing choice vectors.
-//! `scripts/bench_baseline.sh` runs it once to record
-//! the node and cut counters. Stdout is bit-identical for every worker
-//! count, so the determinism matrix covers it like every other binary;
-//! only the stderr counters move.
+//! the Bell-number tree to the nondecreasing choice vectors; its node
+//! and cut counters go to stderr. Stdout is bit-identical for every
+//! worker count, so the determinism matrix covers it like every other
+//! binary; only the stderr counters move.
 
 use memx_bench::experiments;
 use memx_core::alloc::{assign_with_stats_cached, AllocOptions, MemoryKind};
@@ -65,6 +64,6 @@ fn main() {
         "total off-chip power [mW]: {:.3}",
         org.cost.off_chip_power_mw
     );
-    experiments::print_alloc_stat_lines_from_stats([stats]);
+    experiments::print_alloc_stat_lines([stats]);
     experiments::print_cache_stat_lines(cache.as_deref());
 }

@@ -1,6 +1,5 @@
 //! Scripted client for `memx-serve`, used by `scripts/serve_smoke.sh`
-//! and the bench harness to diff daemon-served rows against the offline
-//! reference.
+//! to diff daemon-served rows against the offline reference.
 //!
 //! Modes:
 //!

@@ -45,6 +45,6 @@ fn main() {
         eprintln!("table 3 failed: {e}");
         std::process::exit(1);
     }
-    experiments::print_alloc_stat_lines_from_stats(stats);
+    experiments::print_alloc_stat_lines(stats);
     experiments::print_cache_stat_lines(ctx.cache.as_deref());
 }

@@ -56,11 +56,10 @@ pub const SMOKE_NODE_LIMIT: u64 = 200_000;
 /// never from ambient state.
 ///
 /// Exploration results are bit-identical across `workers` and `cache`
-/// settings (each only trades wall-clock or search-effort counters,
-/// which is what `scripts/bench_baseline.sh` measures); `smoke` and
-/// `node_limit` trade fidelity for runtime. The allocation search
-/// itself is not a knob: it always runs with the pairwise bound and the
-/// symmetric-group dominance rule.
+/// settings (each only trades wall-clock or search-effort counters);
+/// `smoke` and `node_limit` trade fidelity for runtime. The allocation
+/// search itself is not a knob: it always runs with the pairwise bound
+/// and the symmetric-group dominance rule.
 #[derive(Debug, Clone)]
 pub struct RunKnobs {
     /// Fast smoke-test mode (`MEMX_SMOKE` non-empty and not `0`, or a
@@ -75,9 +74,8 @@ pub struct RunKnobs {
     /// budgets both the on-chip searches (which degrade to their greedy
     /// incumbent on exhaustion) and the off-chip partition search
     /// (which instead raises the deterministic `TooManyOffChipGroups`
-    /// exhaustion signal). `scripts/bench_baseline.sh` raises it for
-    /// its node counts: they only measure pruning when the search runs
-    /// to exactness.
+    /// exhaustion signal). Node counts only measure pruning when the
+    /// budget is high enough for the search to run to exactness.
     pub node_limit: Option<u64>,
     /// Persistent evaluation cache (`MEMX_CACHE_DIR` names a directory
     /// carried across runs; unset or empty = no cache). An unusable
@@ -131,20 +129,14 @@ impl RunKnobs {
     }
 }
 
-/// Prints a batch's allocation search-effort counters on stderr — the
-/// `[alloc nodes: N]` / `[off-chip nodes: N]` / `[off-chip exhaustive:
-/// N]` lines `scripts/bench_baseline.sh` greps. One owner for the label
-/// format: the table binaries must not hand-roll these lines, or a
-/// label tweak applied to one binary but not the other would leave the
-/// bench JSON with empty fields.
-pub fn print_alloc_stat_lines<'a>(reports: impl IntoIterator<Item = &'a CostReport>) {
-    print_alloc_stat_lines_from_stats(reports.into_iter().map(|r| r.alloc_stats));
-}
-
-/// [`print_alloc_stat_lines`] over bare [`AllocStats`] values — what the
-/// streaming table binaries accumulate (stats are `Copy`, so a row's
-/// counters outlive the report it came from).
-pub fn print_alloc_stat_lines_from_stats(stats: impl IntoIterator<Item = AllocStats>) {
+/// Prints a batch's summed allocation search-effort counters on stderr:
+/// the `[alloc nodes: N]`, `[off-chip nodes: N]`, `[off-chip
+/// exhaustive: N]` and `[off-chip dominance cuts: N]` lines. The
+/// streaming table binaries pass the bare [`AllocStats`] they
+/// accumulate (stats are `Copy`, so a row's counters outlive its
+/// report). One owner for the label format, so no binary hand-rolls
+/// these lines.
+pub fn print_alloc_stat_lines(stats: impl IntoIterator<Item = AllocStats>) {
     let mut nodes = 0u64;
     let mut off_nodes = 0u64;
     let mut off_exhaustive = 0u64;
@@ -163,8 +155,8 @@ pub fn print_alloc_stat_lines_from_stats(stats: impl IntoIterator<Item = AllocSt
 
 /// Prints a binary's persistent-cache counters on stderr, one line per
 /// entry kind — the `[scbd cache: H hits / M misses]` /
-/// `[alloc cache: H hits / M misses]` lines `scripts/bench_baseline.sh`,
-/// `scripts/cache_roundtrip.sh` and `scripts/sharded_sweep.sh` grep.
+/// `[alloc cache: H hits / M misses]` lines `scripts/cache_roundtrip.sh`
+/// and `scripts/sharded_sweep.sh` grep.
 /// One owner for the label format, same rationale as
 /// [`print_alloc_stat_lines`]: warm/cold gates must be able to tell a
 /// served schedule from a served allocation, so the kinds are never

@@ -1,10 +1,10 @@
 //! A minimal scripted client for the daemon's protocol.
 //!
-//! Shared by `memx-serve --self-drive`, the `serve_client` bench
-//! binary and the wire-layer tests, so every consumer reads chunked
-//! responses (and their trailers) the same way. One chunk is one row —
-//! the client surfaces chunk payloads verbatim, which is what the
-//! byte-identity gates diff against the offline reference.
+//! Shared by the `serve_client` bench binary, the benchmark and the
+//! wire-layer tests, so every consumer reads chunked responses (and
+//! their trailers) the same way. One chunk is one row — the client
+//! surfaces chunk payloads verbatim, which is what the byte-identity
+//! gates diff against the offline reference.
 
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};

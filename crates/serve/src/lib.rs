@@ -22,8 +22,8 @@
 //!   surface.
 //! - [`server`] — admission control, worker budgeting and the
 //!   connection loop.
-//! - [`client`] — a scripted client used by `--self-drive`, the bench
-//!   harness and the tests.
+//! - [`client`] — a scripted client used by `serve_client`, the
+//!   benchmark and the tests.
 //!
 //! The protocol itself is documented in `docs/serve_protocol.md`.
 

@@ -496,11 +496,11 @@ pub fn offline_rows(body: &[u8], limits: WireLimits) -> Result<Vec<String>, Stri
     Ok(rows)
 }
 
-/// The built-in demonstration batch the self-drive mode and the
-/// scripted client send: a small two-group spec with a budget sweep
-/// whose last point is infeasible (so error rows are exercised on every
-/// smoke run). Kept as *text* so the decode path is part of everything
-/// that uses it.
+/// The built-in demonstration batch the scripted client and the daemon
+/// tests send: a small two-group spec with a budget sweep whose last
+/// point is infeasible (so error rows are exercised on every smoke
+/// run). Kept as *text* so the decode path is part of everything that
+/// uses it.
 pub fn demo_request_text() -> String {
     r#"{
   "spec": {

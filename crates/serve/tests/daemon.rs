@@ -124,6 +124,9 @@ fn mid_stream_disconnect_leaves_daemon_serviceable() {
 #[test]
 fn served_rows_match_offline_cold_and_warm_with_cache() {
     let dir = std::env::temp_dir().join(format!("memx-serve-test-{}", std::process::id()));
+    // A directory left behind by an earlier process with the same pid
+    // would make the cold pass warm.
+    let _ = std::fs::remove_dir_all(&dir);
     let cache = Arc::new(EvalCache::open(&dir).unwrap());
     let addr = boot(ServeConfig {
         cache: Some(Arc::clone(&cache)),
@@ -131,7 +134,7 @@ fn served_rows_match_offline_cold_and_warm_with_cache() {
     });
     let demo = wire::demo_request_text();
     let offline = wire::offline_rows(demo.as_bytes(), Default::default()).unwrap();
-    for pass in ["cold", "warm"] {
+    for (pass, warm) in [("cold", false), ("warm", true)] {
         let response = client::post_evaluate(addr, &demo).unwrap();
         assert_eq!(response.status, 200, "{pass}");
         let served: Vec<String> = response
@@ -145,6 +148,21 @@ fn served_rows_match_offline_cold_and_warm_with_cache() {
             Some(offline.len().to_string().as_str()),
             "{pass}"
         );
+        // The per-request trailers read "<hits> hits / <misses> misses":
+        // the cold pass hits nothing, the warm pass hits.
+        let hits: u64 = ["x-memx-cache-scbd", "x-memx-cache-alloc"]
+            .iter()
+            .map(|name| {
+                let value = response.field(name).unwrap();
+                value
+                    .split_whitespace()
+                    .next()
+                    .unwrap()
+                    .parse::<u64>()
+                    .unwrap()
+            })
+            .sum();
+        assert_eq!(hits > 0, warm, "{pass} pass: {hits} cache hits");
     }
     // The warm pass must have hit the cache.
     let stats = cache.stats();

@@ -12,9 +12,11 @@
 #      a model-constant change must re-key every entry — are pinned by
 #      the scbd_stale_key_misses / alloc_stale_key_misses unit tests);
 #   2. run the suite again (warm): stdout must still match the
-#      reference, and every binary that schedules must report *nonzero
+#      reference, every binary that schedules must report *nonzero
 #      cache hits* on BOTH per-kind stat lines — schedules ([scbd
-#      cache: ...]) and allocation solutions ([alloc cache: ...]);
+#      cache: ...]) and allocation solutions ([alloc cache: ...]) —
+#      and EVERY binary must report *zero misses* on both lines: the
+#      pass before it published everything a warm run reads;
 #   3. corrupt EVERY entry on disk — both kinds: scbd/ and alloc/ —
 #      alternating truncation and garbage, and re-run the full suite:
 #      the binaries must degrade to recompute — exit 0, stdout
@@ -59,14 +61,14 @@ fi
 outdir=$(mktemp -d)
 trap 'rm -rf "$outdir" $throwaway_cache' EXIT
 
-# warm_hits STDERR-FILE -> the hits count of "[scbd cache: H hits / M misses]"
-warm_hits() {
-    sed -n 's|^\[scbd cache: \([0-9]*\) hits / [0-9]* misses\]$|\1|p' "$1" | head -1
+# hits KIND STDERR-FILE -> the hits count of "[KIND cache: H hits / M misses]"
+hits() {
+    sed -n "s|^\\[$1 cache: \\([0-9]*\\) hits / [0-9]* misses\\]\$|\\1|p" "$2" | head -1
 }
 
-# alloc_warm_hits STDERR-FILE -> same, for "[alloc cache: H hits / M misses]"
-alloc_warm_hits() {
-    sed -n 's|^\[alloc cache: \([0-9]*\) hits / [0-9]* misses\]$|\1|p' "$1" | head -1
+# misses KIND STDERR-FILE -> the misses count of the same line
+misses() {
+    sed -n "s|^\\[$1 cache: [0-9]* hits / \\([0-9]*\\) misses\\]\$|\\1|p" "$2" | head -1
 }
 
 # run_suite TAG [diff-reference-tag]  -> runs every binary, optionally
@@ -111,15 +113,25 @@ run_suite cached uncached
 
 # Pass 2: warm — byte-identity again, plus nonzero hits where it
 # counts, per entry kind: the schedule cache AND the allocation cache
-# must both serve every scheduling binary.
+# must both serve every scheduling binary. No binary may miss on either
+# kind: pass 1 published every entry a warm run reads.
 run_suite warm uncached
+for bin in "${BINARIES[@]}"; do
+    for kind in scbd alloc; do
+        missed=$(misses "$kind" "$outdir/$bin.warm.err")
+        if [ "${missed:-missing line}" != 0 ]; then
+            echo "cache-roundtrip: FAIL $bin missed the $kind cache on the warm run (got '${missed:-missing line}' misses)" >&2
+            status=1
+        fi
+    done
+done
 for bin in "${SCHEDULING_BINARIES[@]}"; do
-    hits=$(warm_hits "$outdir/$bin.warm.err")
+    hits=$(hits scbd "$outdir/$bin.warm.err")
     if [ -z "$hits" ] || [ "$hits" -eq 0 ]; then
         echo "cache-roundtrip: FAIL $bin reported no scbd cache hits on the warm run (got '${hits:-missing line}')" >&2
         status=1
     fi
-    hits=$(alloc_warm_hits "$outdir/$bin.warm.err")
+    hits=$(hits alloc "$outdir/$bin.warm.err")
     if [ -z "$hits" ] || [ "$hits" -eq 0 ]; then
         echo "cache-roundtrip: FAIL $bin reported no alloc cache hits on the warm run (got '${hits:-missing line}')" >&2
         status=1
@@ -159,8 +171,8 @@ else
     # allocation it read; a final run must therefore hit again, on both
     # gated kinds.
     "./target/release/table4_allocation" >/dev/null 2>"$outdir/repair.err"
-    hits_after_repair=$(warm_hits "$outdir/repair.err")
-    alloc_hits_after_repair=$(alloc_warm_hits "$outdir/repair.err")
+    hits_after_repair=$(hits scbd "$outdir/repair.err")
+    alloc_hits_after_repair=$(hits alloc "$outdir/repair.err")
     if [ -z "$hits_after_repair" ] || [ "$hits_after_repair" -eq 0 ]; then
         echo "cache-roundtrip: FAIL corrupted scbd entries were not repaired (table4 hits '$hits_after_repair')" >&2
         status=1

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
-# End-to-end smoke of the resident daemon: self-drive first (in-process
-# client, byte-diff against the offline reference), then a real boot on
-# loopback driven by the scripted client — cold pass, warm pass (rows
-# must stay byte-identical and the warm pass must report cache hits),
-# stats endpoint, daemon killed on exit either way.
+# End-to-end smoke of the resident daemon: a real boot on loopback
+# driven by the scripted client — cold pass, warm pass (rows must stay
+# byte-identical to the offline reference and the warm pass must report
+# cache hits), stats endpoint, daemon killed on exit either way.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -20,9 +19,6 @@ cleanup() {
     rm -rf "$workdir"
 }
 trap cleanup EXIT
-
-echo "serve-smoke: self-drive"
-"./target/release/$SERVE_BINARY" --self-drive
 
 echo "serve-smoke: booting daemon"
 "./target/release/$SERVE_BINARY" --addr 127.0.0.1:0 \

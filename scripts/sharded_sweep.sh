@@ -17,15 +17,9 @@
 #      discipline is what makes one directory safe to share);
 #   2. warm      — same shards again: merged stdout must still match the
 #      reference, and every shard must report nonzero *allocation*-cache
-#      hits on its stderr, proving phase-2 short-circuiting works under
-#      sharding, not just single-process.
-#
-# Each warm shard also emits a BENCH_shard<s>.json fragment (per-binary
-# wall-clock + the shard's alloc-cache warm counters); the fragments are
-# merged into BENCH_sharded.json in shard order. Merge semantics are
-# deliberately dumb: fragments are disjoint by construction (a binary
-# belongs to exactly one shard), so the merge is pure concatenation — no
-# counter is ever summed across shards.
+#      hits, summed over its binaries' [alloc cache:] stderr lines,
+#      proving phase-2 short-circuiting works under sharding, not just
+#      single-process.
 #
 # MEMX_SWEEP_CACHE_DIR may point at a persistent store (CI passes the
 # actions-cache-carried .memx-cache); otherwise a throwaway directory is
@@ -57,50 +51,29 @@ fi
 outdir=$(mktemp -d)
 trap 'rm -rf "$outdir" $throwaway_cache' EXIT
 
-now_ns() { date +%s%N; }
-
 # alloc_hits STDERR-FILE -> the hits count of "[alloc cache: H hits / M misses]"
 alloc_hits() {
     sed -n 's|^\[alloc cache: \([0-9]*\) hits / [0-9]* misses\]$|\1|p' "$1" | head -1
 }
 
 # run_shard PASS SHARD -> runs this shard's slice of the suite against
-# the shared cache; on the warm pass, also writes the shard's BENCH
-# fragment. Runs in a background subshell — failures surface via a
-# marker file because a backgrounded exit status alone is easy to lose.
+# the shared cache. Runs in a background subshell — failures surface
+# via a marker file because a backgrounded exit status alone is easy to
+# lose.
 run_shard() {
     local pass=$1 shard=$2
-    local idx=0 bin started secs entries="" hits shard_hits=0
+    local idx=0 bin
     for bin in "${BINARIES[@]}"; do
         if [ $((idx % shards)) -eq "$shard" ]; then
-            started=$(now_ns)
             if ! MEMX_CACHE_DIR=$cachedir "./target/release/$bin" \
                 >"$outdir/$bin.$pass" 2>"$outdir/$bin.$pass.err"; then
                 echo "sharded-sweep: FAIL $bin ($pass, shard $shard) exited non-zero" >&2
                 touch "$outdir/failed.$pass.$shard"
                 return 1
             fi
-            secs=$(awk -v s="$started" -v e="$(now_ns)" \
-                'BEGIN { printf "%.3f", (e - s) / 1e9 }')
-            entries+=$(printf '      "%s": { "seconds": %s },' "$bin" "$secs")$'\n'
-            if [ "$pass" = warm ]; then
-                hits=$(alloc_hits "$outdir/$bin.$pass.err")
-                shard_hits=$((shard_hits + ${hits:-0}))
-            fi
         fi
         idx=$((idx + 1))
     done
-    if [ "$pass" = warm ]; then
-        cat > "$outdir/BENCH_shard$shard.json" << EOF
-    {
-      "shard": $shard,
-      "binaries": {
-${entries%,$'\n'}
-      },
-      "alloc_cache": { "warm_hits": $shard_hits }
-    }
-EOF
-    fi
 }
 
 # merge PASS -> the shard stdouts concatenated back into suite order
@@ -142,27 +115,23 @@ for pass in cold warm; do
     fi
 done
 
-# Every warm shard must have been served from the allocation cache.
+# Every warm shard must have been served from the allocation cache:
+# sum the [alloc cache:] hits of the binaries it ran.
 for shard in $(seq 0 $((shards - 1))); do
-    hits=$(sed -n 's/.*"warm_hits": \([0-9]*\).*/\1/p' "$outdir/BENCH_shard$shard.json" | head -1)
-    if [ -z "$hits" ] || [ "$hits" -eq 0 ]; then
+    idx=0 hits=0
+    for bin in "${BINARIES[@]}"; do
+        if [ $((idx % shards)) -eq "$shard" ]; then
+            bin_hits=$(alloc_hits "$outdir/$bin.warm.err")
+            hits=$((hits + ${bin_hits:-0}))
+        fi
+        idx=$((idx + 1))
+    done
+    if [ "$hits" -eq 0 ]; then
         echo "sharded-sweep: FAIL shard $shard reported no alloc-cache hits on the warm pass" >&2
         status=1
     else
         echo "sharded-sweep: shard $shard warm alloc-cache hits: $hits"
     fi
 done
-
-# Merge the per-shard BENCH fragments (disjoint by construction).
-{
-    printf '{\n  "schema": "memexplore-sharded-sweep-v1",\n'
-    printf '  "shards": %s,\n  "merged": [\n' "$shards"
-    for shard in $(seq 0 $((shards - 1))); do
-        cat "$outdir/BENCH_shard$shard.json"
-        if [ "$shard" -lt $((shards - 1)) ]; then printf ',\n'; fi
-    done
-    printf '  ]\n}\n'
-} > BENCH_sharded.json
-echo "sharded-sweep: wrote BENCH_sharded.json"
 
 exit $status
