@@ -22,6 +22,18 @@
 //!   body, which is executed 300 000 times, reduces the overall budget
 //!   with 300 000 cycles").
 //!
+//! # Memoized candidates
+//!
+//! [`schedule_body`] is a pure function of (spec, nest, body budget),
+//! and the marginal-relief loop reads nothing of a candidate schedule
+//! but its pressure. Within one distribution the loop therefore keeps
+//! each candidate's pressure by (body, body budget) and schedules it
+//! once; only the granted body's budget changes between rounds, so a
+//! round schedules its new lookahead candidates and re-schedules the
+//! winner, not every body again. The grants, and with them every
+//! schedule, are bit-identical to re-scheduling each candidate every
+//! round; the memo is dropped when the distribution returns.
+//!
 //! # Sparse occupancy
 //!
 //! Schedules are stored *sparsely*: per access a placed interval, plus
@@ -469,16 +481,18 @@ pub fn distribute(spec: &AppSpec) -> Result<ScbdResult, ExploreError> {
     distribute_with_budget(spec, spec.cycle_budget())
 }
 
-/// Naive baseline distribution for the balancing ablation: every body
-/// gets its critical-path budget and is packed ASAP — no balancing, no
-/// marginal-relief grants. This is what a schedule looks like *without*
-/// the paper's flow-graph balancing.
+/// The non-empty loop bodies, each at its critical-path budget, and the
+/// global cycles those budgets use — the starting point of both
+/// distributions.
 ///
 /// # Errors
 ///
-/// Returns [`ExploreError::BudgetTooTight`] if even the per-body
-/// critical paths do not fit the global budget.
-pub fn distribute_asap(spec: &AppSpec, budget: u64) -> Result<ScbdResult, ExploreError> {
+/// Returns [`ExploreError::BudgetTooTight`], naming the heaviest body
+/// for diagnosis, if the critical paths alone exceed `budget`.
+fn critical_path_start(
+    spec: &AppSpec,
+    budget: u64,
+) -> Result<(Vec<&LoopNest>, Vec<u64>, u64), ExploreError> {
     let nests: Vec<&LoopNest> = spec
         .loop_nests()
         .iter()
@@ -503,6 +517,20 @@ pub fn distribute_asap(spec: &AppSpec, budget: u64) -> Result<ScbdResult, Explor
             available: budget,
         });
     }
+    Ok((nests, budgets, used))
+}
+
+/// Naive baseline distribution for the balancing ablation: every body
+/// gets its critical-path budget and is packed ASAP — no balancing, no
+/// marginal-relief grants. This is what a schedule looks like *without*
+/// the paper's flow-graph balancing.
+///
+/// # Errors
+///
+/// Returns [`ExploreError::BudgetTooTight`] if even the per-body
+/// critical paths do not fit the global budget.
+pub fn distribute_asap(spec: &AppSpec, budget: u64) -> Result<ScbdResult, ExploreError> {
+    let (nests, budgets, used) = critical_path_start(spec, budget)?;
     let bodies = nests
         .iter()
         .zip(&budgets)
@@ -523,41 +551,22 @@ pub fn distribute_asap(spec: &AppSpec, budget: u64) -> Result<ScbdResult, Explor
 /// any magnitude (10⁸-cycle real-time budgets and beyond): cost is
 /// proportional to the number of accesses, not the budget.
 ///
+/// Each (body, body budget) candidate's pressure is computed once per
+/// call (see the module docs): [`schedule_body`] is pure, so the
+/// memoized pressure is exactly what a fresh schedule would report, and
+/// the result is the one the unmemoized loop computes.
+///
 /// # Errors
 ///
 /// Returns [`ExploreError::BudgetTooTight`] if the budget is below the
 /// sum of per-body critical paths.
 pub fn distribute_with_budget(spec: &AppSpec, budget: u64) -> Result<ScbdResult, ExploreError> {
-    let nests: Vec<&LoopNest> = spec
-        .loop_nests()
-        .iter()
-        .filter(|n| !n.accesses().is_empty())
-        .collect();
     // Start at the critical-path minimum per body.
-    let mut budgets: Vec<u64> = nests.iter().map(|n| body_critical_path(spec, n)).collect();
+    let (nests, mut budgets, mut used) = critical_path_start(spec, budget)?;
     let serial: Vec<u64> = nests
         .iter()
         .map(|n| n.accesses().iter().map(|a| access_duration(spec, a)).sum())
         .collect();
-    let mut used: u64 = nests
-        .iter()
-        .zip(&budgets)
-        .map(|(n, &b)| n.iterations() * b)
-        .sum();
-    if used > budget {
-        // Report the heaviest body for diagnosis.
-        let worst = nests
-            .iter()
-            .zip(&budgets)
-            .max_by_key(|(n, &b)| n.iterations() * b)
-            .map(|(n, _)| n.name().to_owned())
-            .unwrap_or_default();
-        return Err(ExploreError::BudgetTooTight {
-            nest: worst,
-            required: used,
-            available: budget,
-        });
-    }
 
     let mut schedules: Vec<BodySchedule> = nests
         .iter()
@@ -569,9 +578,17 @@ pub fn distribute_with_budget(spec: &AppSpec, budget: u64) -> Result<ScbdResult,
     // Greedy marginal-relief loop: grant extra cycles to the body with
     // the best pressure relief per global-budget cycle. A small
     // lookahead (several cycles at once) escapes plateaus where one
-    // extra cycle alone does not reduce pressure yet.
+    // extra cycle alone does not reduce pressure yet. Candidate
+    // pressures are memoized (see the module docs): a body's candidates
+    // lie in (critical path, serial], so it gets one slot per budget
+    // there, indexed back from its serial budget.
+    let mut candidate_pressure: Vec<Vec<Option<f64>>> = serial
+        .iter()
+        .zip(&budgets)
+        .map(|(&s, &b)| vec![None; s.saturating_sub(b) as usize])
+        .collect();
     loop {
-        let mut best: Option<(usize, u64, BodySchedule, f64)> = None;
+        let mut best: Option<(usize, u64, f64)> = None;
         for (i, nest) in nests.iter().enumerate() {
             if pressures[i] == 0.0 {
                 continue;
@@ -581,25 +598,30 @@ pub fn distribute_with_budget(spec: &AppSpec, budget: u64) -> Result<ScbdResult,
                 .min(serial[i].saturating_sub(budgets[i]))
                 .min(budget.saturating_sub(used) / step.max(1));
             for extra in 1..=max_extra {
-                let candidate = schedule_body(spec, nest, budgets[i] + extra)?;
-                let relief = (pressures[i] - candidate.pressure()) * step as f64;
+                let body_budget = budgets[i] + extra;
+                let memo = &mut candidate_pressure[i][(serial[i] - body_budget) as usize];
+                let pressure = match *memo {
+                    Some(pressure) => pressure,
+                    None => *memo.insert(schedule_body(spec, nest, body_budget)?.pressure()),
+                };
+                let relief = (pressures[i] - pressure) * step as f64;
                 let relief_per_cycle = relief / (extra * step) as f64;
                 if relief_per_cycle > 0.0
                     && best
                         .as_ref()
-                        .map(|(_, _, _, r)| relief_per_cycle > *r)
+                        .map(|(_, _, r)| relief_per_cycle > *r)
                         .unwrap_or(true)
                 {
-                    best = Some((i, extra, candidate, relief_per_cycle));
+                    best = Some((i, extra, relief_per_cycle));
                 }
             }
         }
         match best {
-            Some((i, extra, candidate, _)) => {
+            Some((i, extra, _)) => {
                 budgets[i] += extra;
                 used += extra * nests[i].iterations();
-                pressures[i] = candidate.pressure();
-                schedules[i] = candidate;
+                schedules[i] = schedule_body(spec, nests[i], budgets[i])?;
+                pressures[i] = schedules[i].pressure();
             }
             None => break,
         }
@@ -616,6 +638,7 @@ pub fn distribute_with_budget(spec: &AppSpec, budget: u64) -> Result<ScbdResult,
 mod tests {
     use super::*;
     use memx_ir::{AccessKind, AppSpecBuilder};
+    use proptest::prelude::*;
 
     /// Two independent reads of different groups plus a dependent write.
     fn small_spec(budget: u64) -> AppSpec {
@@ -658,7 +681,15 @@ mod tests {
     fn infeasible_budget_errors() {
         let spec = small_spec(200);
         let err = distribute_with_budget(&spec, 150).unwrap_err();
-        assert!(matches!(err, ExploreError::BudgetTooTight { .. }));
+        assert_eq!(
+            err,
+            ExploreError::BudgetTooTight {
+                nest: "l".to_owned(),
+                required: 200,
+                available: 150,
+            }
+        );
+        assert_eq!(distribute_asap(&spec, 150).unwrap_err(), err);
     }
 
     #[test]
@@ -792,6 +823,161 @@ mod tests {
             }
             for w in body.busy_slots().windows(2) {
                 assert!(w[0].cycle < w[1].cycle, "slots must be ascending");
+            }
+        }
+    }
+
+    /// The marginal-relief loop without the candidate memo: every
+    /// round re-schedules every candidate. The reference the memoized
+    /// [`distribute_with_budget`] must match bit for bit.
+    fn distribute_unmemoized(spec: &AppSpec, budget: u64) -> Result<ScbdResult, ExploreError> {
+        let (nests, mut budgets, mut used) = critical_path_start(spec, budget)?;
+        let serial: Vec<u64> = nests
+            .iter()
+            .map(|n| n.accesses().iter().map(|a| access_duration(spec, a)).sum())
+            .collect();
+        let mut schedules: Vec<BodySchedule> = nests
+            .iter()
+            .zip(&budgets)
+            .map(|(n, &b)| schedule_body(spec, n, b))
+            .collect::<Result<_, _>>()?;
+        let mut pressures: Vec<f64> = schedules.iter().map(BodySchedule::pressure).collect();
+        loop {
+            let mut best: Option<(usize, u64, BodySchedule, f64)> = None;
+            for (i, nest) in nests.iter().enumerate() {
+                if pressures[i] == 0.0 {
+                    continue;
+                }
+                let step = nest.iterations();
+                let max_extra = GRANT_LOOKAHEAD
+                    .min(serial[i].saturating_sub(budgets[i]))
+                    .min(budget.saturating_sub(used) / step.max(1));
+                for extra in 1..=max_extra {
+                    let candidate = schedule_body(spec, nest, budgets[i] + extra)?;
+                    let relief = (pressures[i] - candidate.pressure()) * step as f64;
+                    let relief_per_cycle = relief / (extra * step) as f64;
+                    if relief_per_cycle > 0.0
+                        && best
+                            .as_ref()
+                            .map(|(_, _, _, r)| relief_per_cycle > *r)
+                            .unwrap_or(true)
+                    {
+                        best = Some((i, extra, candidate, relief_per_cycle));
+                    }
+                }
+            }
+            match best {
+                Some((i, extra, candidate, _)) => {
+                    budgets[i] += extra;
+                    used += extra * nests[i].iterations();
+                    pressures[i] = candidate.pressure();
+                    schedules[i] = candidate;
+                }
+                None => break,
+            }
+        }
+        Ok(ScbdResult {
+            bodies: schedules,
+            used_cycles: used,
+            total_budget: budget,
+        })
+    }
+
+    /// Small random multi-nest spec: 1–4 groups (mixed placement, so
+    /// durations differ), 1–4 nests of random access chains.
+    fn arb_spec() -> impl Strategy<Value = AppSpec> {
+        let group = (1u64..4_000, 1u32..16, prop::bool::ANY);
+        let access = (0usize..4, prop::bool::ANY, prop::bool::ANY);
+        let nest = (1u64..50, prop::collection::vec(access, 1..7));
+        (
+            prop::collection::vec(group, 1..5),
+            prop::collection::vec(nest, 1..5),
+        )
+            .prop_map(|(groups, nests)| {
+                let mut b = AppSpecBuilder::new("memo");
+                let ids: Vec<BasicGroupId> = groups
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(words, width, off))| {
+                        let placement = if off && words > 1_000 {
+                            Placement::OffChip
+                        } else {
+                            Placement::Any
+                        };
+                        b.basic_group_placed(format!("g{i}"), words, width, placement)
+                            .unwrap()
+                    })
+                    .collect();
+                for (n, (iters, accesses)) in nests.iter().enumerate() {
+                    let nid = b.loop_nest(format!("n{n}"), *iters).unwrap();
+                    let mut prev = None;
+                    for &(g, write, depends) in accesses {
+                        let kind = if write {
+                            AccessKind::Write
+                        } else {
+                            AccessKind::Read
+                        };
+                        let a = b.access(nid, ids[g % ids.len()], kind).unwrap();
+                        if let (true, Some(p)) = (depends, prev) {
+                            b.depend(nid, p, a).unwrap();
+                        }
+                        prev = Some(a);
+                    }
+                }
+                // The spec's own budget is unused (each case picks one);
+                // 4 cycles per access covers the worst duration.
+                b.cycle_budget(
+                    nests
+                        .iter()
+                        .map(|(iters, accesses)| iters * accesses.len() as u64 * 4)
+                        .sum(),
+                );
+                b.build().unwrap()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn memoized_distribution_matches_the_reference(
+            spec in arb_spec(),
+            percent in 0u64..=140,
+        ) {
+            // Budgets from one cycle below the critical-path sum (an
+            // error, in about a quarter of the cases) up past full
+            // serialization of every body.
+            let nests = spec.loop_nests();
+            let critical: u64 = nests
+                .iter()
+                .map(|n| n.iterations() * body_critical_path(&spec, n))
+                .sum();
+            let serial: u64 = nests
+                .iter()
+                .map(|n| {
+                    n.iterations()
+                        * n.accesses().iter().map(|a| access_duration(&spec, a)).sum::<u64>()
+                })
+                .sum();
+            let budget = critical - 1 + (serial + 1 - critical) * percent.saturating_sub(20) / 100;
+            match (
+                distribute_with_budget(&spec, budget),
+                distribute_unmemoized(&spec, budget),
+            ) {
+                (Ok(memo), Ok(reference)) => {
+                    prop_assert_eq!(memo.used_cycles, reference.used_cycles);
+                    prop_assert_eq!(memo.bodies.len(), reference.bodies.len());
+                    for (m, r) in memo.bodies.iter().zip(&reference.bodies) {
+                        prop_assert_eq!(m.budget, r.budget);
+                        prop_assert_eq!(m.placements(), r.placements());
+                    }
+                }
+                (Err(memo), Err(reference)) => prop_assert_eq!(memo, reference),
+                (memo, reference) => panic!(
+                    "budget {budget}: memoized {:?} vs reference {:?}",
+                    memo.map(|r| r.used_cycles),
+                    reference.map(|r| r.used_cycles)
+                ),
             }
         }
     }

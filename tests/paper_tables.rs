@@ -23,7 +23,9 @@ use memx_bench::experiments::{
 use memx_core::alloc::{alloc_cache_key, AllocStats, MemoryKind, Organization};
 use memx_core::cache::CacheKey;
 use memx_core::explore::CostReport;
-use memx_ir::AppSpec;
+use memx_core::scbd;
+use memx_ir::hash::StableHasher;
+use memx_ir::{parse_spec, print_spec, AppSpec};
 use memx_memlib::CostBreakdown;
 
 fn golden_path() -> PathBuf {
@@ -245,7 +247,7 @@ fn table4_allocation_cache_key_is_pinned() {
     let ctx = experiments::paper_context();
     let spec = experiments::best_hierarchy_spec(&ctx).expect("hierarchy applies");
     let budget = experiments::CYCLE_BUDGET - 3_133_568; // table 4's working point
-    let schedule = memx_core::scbd::distribute_with_budget(&spec, budget).expect("schedulable");
+    let schedule = scbd::distribute_with_budget(&spec, budget).expect("schedulable");
     let key = alloc_cache_key(&spec, &schedule, &ctx.lib, &ctx.alloc).expect("splittable");
     assert_eq!(
         key,
@@ -256,4 +258,60 @@ fn table4_allocation_cache_key_is_pinned() {
             knobs_fingerprint: 0xa170_b3d0_64db_d86d,
         }
     );
+}
+
+#[test]
+fn scbd_schedules_are_pinned() {
+    // Every schedule of the crossover probe's budget walk on the
+    // Table-2 winner, fingerprinted: the per-body budgets the
+    // marginal-relief loop grants and every placed access. A
+    // scheduler speedup must leave all of them bit-identical — the
+    // persisted `scbd/` entries are keyed without regard to how they
+    // were computed.
+    let ctx = experiments::paper_context();
+    let spec = experiments::best_hierarchy_spec(&ctx).expect("hierarchy applies");
+    let budget = experiments::CYCLE_BUDGET;
+    let mut h = StableHasher::new();
+    let mut distributions = 0;
+    for extra in (0..budget * 2 / 5).step_by((budget / 100) as usize) {
+        let Ok(result) = scbd::distribute_with_budget(&spec, budget - extra) else {
+            break;
+        };
+        distributions += 1;
+        h.write_u64(result.used_cycles);
+        for body in &result.bodies {
+            h.write_u64(body.budget);
+            for p in body.placements() {
+                h.write_u64(p.start);
+                h.write_u64(p.duration);
+            }
+        }
+    }
+    assert_eq!(distributions, 33, "feasible budgets of the probe walk");
+    assert_eq!(h.finish(), 0x01ab_3019_16f5_4983, "schedule fingerprint");
+}
+
+#[test]
+fn text_parsed_paper_spec_lands_on_the_rust_built_cache_keys() {
+    // The spec text front end and the Rust builder must key the same
+    // cache entries: printing the Table-2 winner and parsing it back
+    // gives the same content hash, the same distribution key at the
+    // Table-4 budget and, from its own schedule, the same allocation
+    // key — so a `.mxspec` twin of a paper spec is served warm from
+    // entries the table binaries wrote.
+    let ctx = experiments::paper_context();
+    let built = experiments::best_hierarchy_spec(&ctx).expect("hierarchy applies");
+    let parsed = parse_spec(&print_spec(&built)).expect("printed spec parses");
+    assert_eq!(parsed.content_hash(), built.content_hash());
+
+    let budget = experiments::CYCLE_BUDGET - 3_133_568; // table 4's working point
+    assert_eq!(
+        CacheKey::scbd(&parsed, budget),
+        CacheKey::scbd(&built, budget)
+    );
+    let alloc_key = |spec: &AppSpec| {
+        let schedule = scbd::distribute_with_budget(spec, budget).expect("schedulable");
+        alloc_cache_key(spec, &schedule, &ctx.lib, &ctx.alloc).expect("splittable")
+    };
+    assert_eq!(alloc_key(&parsed), alloc_key(&built));
 }
